@@ -1,10 +1,35 @@
 """Sparse LU factorization, triangular solves and a 2-norm condition estimator.
 
-The factorization is delegated to SuperLU (scipy.sparse.linalg.splu) with
-threshold partial pivoting; the factors satisfy Pr A Pc = L U with the two
-permutations exposed for verification.  A direct method is required here:
-the systems are ill-conditioned by construction and a factor-once /
-solve-per-step loop beats an unpreconditioned iterative method.
+`lu_factorize` takes one of two paths, chosen from the matrix alone:
+
+* **strip path.**  A strip-geometry matrix (every grid row carries the
+  same m unknowns, ordered row by row) has the Kronecker form
+
+      A = I (x) X1 + D (x) X2 + D^2 (x) X3,
+
+  where D is the unscaled mirror second difference in y, with rows
+  (1, -2, 1) inside and (-2, 2) at the walls, and X1, X2, X3 are m x m.
+  The DCT-I diagonalises D: D = V diag(mu) V^-1 with V[j, k] =
+  cos(pi j k / (Ny - 1)) and mu_k = 2 cos(pi k / (Ny - 1)) - 2.  So
+  A = (V (x) I) B (V^-1 (x) I) with B = blockdiag_k(X1 + mu_k X2 +
+  mu_k^2 X3), and a solve is a cosine transform along y, Ny independent
+  banded solves along x and the inverse transform (the fast direct
+  method of Hockney, J. ACM 1965, and Buzbee, Golub & Nielson, SIAM J.
+  Numer. Anal. 1970).  B is row-scaled to unit max entry per row and
+  factored by one SuperLU call.
+* **SuperLU path.**  Any other matrix (full geometry, test matrices) is
+  factored as it stands by SuperLU (scipy.sparse.linalg.splu) with
+  threshold partial pivoting; the factors satisfy Pr A Pc = L U.
+
+A direct method is required here: the systems are ill-conditioned by
+construction and a factor-once / solve-per-step loop beats an
+unpreconditioned iterative method.
+
+The pivot test is scale-aware on each path.  The SuperLU path refuses a
+pivot <= 1e-14 max|A|.  On the strip path the blocks of B span entry scales
+from 1/dx^2 to 16 nu/dy^4 by construction, so a threshold taken from the
+largest entry would measure that spread, not singularity; there each row
+of B has unit max entry and a pivot <= 1e-14 is refused.
 
 The condition estimator runs power iteration on A^T A for sigma_max and on
 (A^T A)^{-1}, through the factors, for sigma_min.  With ``equilibrate=True``
@@ -16,22 +41,51 @@ factors of A for the inverse applications.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
+
 import numpy as np
+import scipy.fft
 import scipy.sparse as sps
 import scipy.sparse.linalg as spla
 
 from .errors import DimensionMismatchError, SingularPivotError
 
 _PIVOT_RTOL = 1e-14
+_KRON_RTOL = 1e-13  # rebuilt Kronecker form against the matrix, relative to max|A|
+_MIN_STRIP_ROWS = 5  # the middle block row must carry the interior D^2 stencil
 _DEFAULT_SEED = 1234
+
+
+@dataclass(frozen=True)
+class _CosineModes:
+    """Transform data of the strip path; the factors are those of the scaled B."""
+
+    ny: int
+    weights: np.ndarray  # (1, 2, ..., 2, 1) / (2 (ny - 1)): V^-1 = diag(weights) DCT-I
+    row_scale: np.ndarray  # 1 / (row max of B), aligned with the rows of B
+
+    def forward(self, u: np.ndarray) -> np.ndarray:
+        """(V^-1 (x) I) u for u laid out as (ny, m)."""
+        return self.weights[:, None] * scipy.fft.dct(u, type=1, axis=0)
+
+    def inverse(self, c: np.ndarray) -> np.ndarray:
+        """(V (x) I) c for c laid out as (ny, m)."""
+        return scipy.fft.idct(c / self.weights[:, None], type=1, axis=0)
 
 
 @dataclass
 class LUFactors:
-    """Immutable after construction; concurrent solves are read-only."""
+    """Immutable after construction; concurrent solves are read-only.
+
+    On the SuperLU path ``L``, ``U``, ``perm_r`` and ``perm_c`` satisfy
+    Pr A Pc = L U.  On the strip path they are the same factors of the
+    row-scaled mode matrix R B (B = blockdiag_k(X1 + mu_k X2 + mu_k^2 X3)),
+    that is Pr R B Pc = L U; A itself is never factored there.
+    """
 
     n: int
     _lu: spla.SuperLU
+    _modes: Optional[_CosineModes] = None
 
     @property
     def L(self) -> sps.csr_matrix:
@@ -50,33 +104,119 @@ class LUFactors:
         return self._lu.perm_c
 
 
-def lu_factorize(matrix: sps.spmatrix) -> LUFactors:
-    """Factorize a square sparse matrix; raises SingularPivotError."""
-    n, m = matrix.shape
-    if n != m:
-        raise DimensionMismatchError(f"matrix is {n}x{m}, not square")
-    a_max = abs(matrix).max() if matrix.nnz else 0.0
+def _checked_splu(matrix: sps.spmatrix, threshold: float, what: str = "") -> spla.SuperLU:
+    """SuperLU factors of the matrix; SingularPivotError on a pivot <= threshold."""
     try:
         lu = spla.splu(matrix.tocsc())
     except RuntimeError as exc:  # SuperLU reports exact singularity this way
         raise SingularPivotError(f"SingularPivot: {exc}") from exc
     u_diag = np.abs(lu.U.diagonal())
-    if u_diag.size < n or not (u_diag > _PIVOT_RTOL * a_max).all():
+    if u_diag.size < matrix.shape[0] or not (u_diag > threshold).all():
         worst = float(u_diag.min()) if u_diag.size else 0.0
         raise SingularPivotError(
-            f"SingularPivot: pivot {worst:.3e} below threshold {_PIVOT_RTOL * a_max:.3e}"
+            f"SingularPivot: pivot {worst:.3e} below threshold {threshold:.3e}{what}"
         )
-    return LUFactors(n=n, _lu=lu)
+    return lu
+
+
+def _mirror_dyy(ny: int) -> sps.csr_matrix:
+    """Unscaled D_yy with the mirror closure: (-2, 2) at the walls."""
+    d = sps.diags([1.0, -2.0, 1.0], [-1, 0, 1], shape=(ny, ny), format="lil")
+    d[0, 1] = d[ny - 1, ny - 2] = 2.0
+    return d.tocsr()
+
+
+def _kronecker_parts(a: sps.csr_matrix, a_max: float):
+    """(ny, X1, X2, X3) if A = I (x) X1 + D (x) X2 + D^2 (x) X3, else None.
+
+    The block size m is half the bandwidth (D^2 couples rows j and j + 2);
+    the X's come from the middle block row, where the D and D^2 stencils are
+    (1, -2, 1) and (1, -4, 6, -4, 1).
+    """
+    n = a.shape[0]
+    coo = a.tocoo()
+    if not coo.nnz:
+        return None
+    bandwidth = int(np.abs(coo.row.astype(np.int64) - coo.col).max())
+    m, odd = divmod(bandwidth, 2)
+    if odd or m == 0 or n % m or n // m < _MIN_STRIP_ROWS:
+        return None
+    ny = n // m
+    j = ny // 2
+    block_row = a[j * m : (j + 1) * m]
+
+    def block(k):
+        return block_row[:, (j + k) * m : (j + k + 1) * m]
+
+    x3 = block(2)
+    x2 = block(1) + 4.0 * x3
+    x1 = block(0) + 2.0 * x2 - 6.0 * x3
+    d = _mirror_dyy(ny)
+    rebuilt = sps.kron(sps.identity(ny), x1) + sps.kron(d, x2) + sps.kron(d @ d, x3)
+    err = abs(rebuilt.tocsr() - a)
+    if err.nnz and err.max() > _KRON_RTOL * a_max:
+        return None
+    return ny, x1, x2, x3
+
+
+def _factorize_modes(n: int, ny: int, x1, x2, x3) -> LUFactors:
+    """Factor the row-scaled blockdiag_k(X1 + mu_k X2 + mu_k^2 X3)."""
+    mu = 2.0 * np.cos(np.pi * np.arange(ny) / (ny - 1)) - 2.0
+    b = (
+        sps.kron(sps.identity(ny), x1)
+        + sps.kron(sps.diags(mu), x2)
+        + sps.kron(sps.diags(mu * mu), x3)
+    ).tocsr()
+    row_max = abs(b).max(axis=1).toarray().ravel()
+    if not (row_max > 0).all():
+        r = int(np.argmin(row_max))
+        raise SingularPivotError(
+            f"SingularPivot: row {r % x1.shape[0]} of cosine mode {r // x1.shape[0]} is zero"
+        )
+    row_scale = 1.0 / row_max
+    lu = _checked_splu(sps.diags(row_scale) @ b, _PIVOT_RTOL, " (row-scaled cosine modes)")
+    weights = np.full(ny, 1.0 / (ny - 1))
+    weights[[0, -1]] /= 2.0
+    return LUFactors(n=n, _lu=lu, _modes=_CosineModes(ny, weights, row_scale))
+
+
+def lu_factorize(matrix: sps.spmatrix) -> LUFactors:
+    """Factorize a square sparse matrix; raises SingularPivotError.
+
+    Strip-geometry matrices take the cosine-transform path, every other
+    matrix SuperLU; see the module docstring.
+    """
+    n, m = matrix.shape
+    if n != m:
+        raise DimensionMismatchError(f"matrix is {n}x{m}, not square")
+    a = matrix.tocsr()
+    a_max = abs(a).max() if a.nnz else 0.0
+    parts = _kronecker_parts(a, a_max)
+    if parts is not None:
+        return _factorize_modes(n, *parts)
+    return LUFactors(n=n, _lu=_checked_splu(a, _PIVOT_RTOL * a_max))
 
 
 def lu_solve(factors: LUFactors, rhs: np.ndarray, trans: str = "N") -> np.ndarray:
-    """Solve A x = b (or A^T x = b with trans='T') through the factors."""
+    """Solve A x = b (or A^T x = b with trans='T') through the factors.
+
+    On the strip path A = (V (x) I) B (V^-1 (x) I), and V is symmetric, so
+    A^-1 = (V (x) I) B^-1 (V^-1 (x) I) and A^-T = (V^-1 (x) I) B^-T (V (x) I).
+    """
     rhs = np.asarray(rhs, dtype=np.float64)
     if rhs.shape != (factors.n,):
         raise DimensionMismatchError(
             f"rhs has shape {rhs.shape}, expected ({factors.n},)"
         )
-    return factors._lu.solve(rhs, trans=trans)
+    modes = factors._modes
+    if modes is None:
+        return factors._lu.solve(rhs, trans=trans)
+    u = rhs.reshape(modes.ny, -1)
+    if trans == "N":
+        c = factors._lu.solve(modes.row_scale * modes.forward(u).ravel())
+        return modes.inverse(c.reshape(u.shape)).ravel()
+    c = modes.row_scale * factors._lu.solve(modes.inverse(u).ravel(), trans=trans)
+    return modes.forward(c.reshape(u.shape)).ravel()
 
 
 def lu_refine(
@@ -92,21 +232,26 @@ def lu_refine(
 def ruiz_scalings(
     matrix: sps.spmatrix, iters: int = 20
 ) -> tuple[np.ndarray, np.ndarray, sps.csr_matrix]:
-    """Iterative 2-norm equilibration: returns (dr, dc, Dr A Dc)."""
-    b = matrix.tocsr(copy=True).astype(np.float64)
+    """Iterative 2-norm equilibration: returns (dr, dc, Dr A Dc).
+
+    Scales a private copy of the matrix in place; the row and column sums of
+    squares come from ``np.bincount`` over the stored entries.
+    """
+    b = sps.csr_matrix(matrix, dtype=np.float64, copy=True)
     n, m = b.shape
+    rows = np.repeat(np.arange(n), np.diff(b.indptr))
     dr = np.ones(n)
     dc = np.ones(m)
     for _ in range(iters):
-        rn = np.sqrt(np.asarray(b.multiply(b).sum(axis=1)).ravel()) ** 0.5
+        rn = np.bincount(rows, weights=b.data * b.data, minlength=n) ** 0.25
         rn[rn == 0] = 1.0
         dr /= rn
-        b = sps.diags(1.0 / rn) @ b
-        cn = np.sqrt(np.asarray(b.multiply(b).sum(axis=0)).ravel()) ** 0.5
+        b.data /= rn[rows]
+        cn = np.bincount(b.indices, weights=b.data * b.data, minlength=m) ** 0.25
         cn[cn == 0] = 1.0
         dc /= cn
-        b = b @ sps.diags(1.0 / cn)
-    return dr, dc, b.tocsr()
+        b.data /= cn[b.indices]
+    return dr, dc, b
 
 
 @dataclass(frozen=True)

@@ -224,8 +224,10 @@ def run_condition_study(
     The single-field entry is absent at eta = 0 (that scheme divides by
     eta) and whenever its factorization hits a sub-threshold pivot, which
     happens once eta is small enough to make the matrix numerically
-    singular.  The matrix does not depend on the source or the state, only
-    on the grid, eta, nu and dt.
+    singular: near eta = 1e-13 on these strip grids, whose factorization
+    tests the pivots of the row-scaled cosine-mode blocks.  The coupled
+    scheme factors at every eta down to 0.  The matrix does not depend on
+    the source or the state, only on the grid, eta, nu and dt.
     """
     rows = []
     for eta in sorted(etas, reverse=True):

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 import scipy.sparse as sps
+import scipy.sparse.linalg as spla
 
+from edgepot.assembly import RowKind, build_ap_system, build_naive_system
 from edgepot.errors import DimensionMismatchError, SingularPivotError
+from edgepot.geometry import DiscConfig, PhysConfig, build_grid
 from edgepot.linsolve import (
     estimate_cond2,
     lu_factorize,
@@ -192,3 +195,95 @@ def test_ruiz_normalizes_rows_and_columns():
     cn = np.sqrt(np.asarray(b.multiply(b).sum(axis=0)).ravel())
     assert rn == pytest.approx(np.ones(30), rel=1e-3)
     assert cn == pytest.approx(np.ones(30), rel=1e-3)
+
+
+def test_ruiz_matches_matrix_product_form():
+    # reference: the same iteration written with diagonal-matrix products
+    a, _ = svd_designed(40, 4.0, seed=29)
+    b = a.tocsr()
+    dr, dc = np.ones(40), np.ones(40)
+    for _ in range(20):
+        rn = np.sqrt(np.asarray(b.multiply(b).sum(axis=1)).ravel()) ** 0.5
+        dr /= rn
+        b = sps.diags(1.0 / rn) @ b
+        cn = np.sqrt(np.asarray(b.multiply(b).sum(axis=0)).ravel()) ** 0.5
+        dc /= cn
+        b = b @ sps.diags(1.0 / cn)
+    got_dr, got_dc, got_b = ruiz_scalings(a)
+    assert got_dr == pytest.approx(dr, rel=1e-13)
+    assert got_dc == pytest.approx(dc, rel=1e-13)
+    assert abs(got_b - b).max() <= 1e-13
+    assert a.data == pytest.approx(svd_designed(40, 4.0, seed=29)[0].data)  # input untouched
+
+
+# ---- strip path: cosine transform in y, banded solves in x -------------------
+
+
+def strip_system(h, eta, scheme, dt=1e-3):
+    phys = PhysConfig(eta=eta)
+    disc = DiscConfig(dx=h, dy=h, dt=dt, mode="strip")
+    grid = build_grid(phys, disc)
+    build = build_ap_system if scheme == "ap" else build_naive_system
+    return build(grid, phys, disc)
+
+
+def refined_splu_solve(a, b, trans):
+    """scipy's splu solution, refined with residuals in extended precision.
+
+    SuperLU's own forward error on these systems reaches 6e-6 (coupled,
+    eta = 0, h = 0.025) against backward errors near 1e-16; the refinement
+    takes the reference to roundoff, so the comparison measures the path
+    under test rather than the reference.
+    """
+    if np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps:
+        pytest.skip("no extended precision for the reference residual")
+    lu = spla.splu(a.tocsc())
+    m = (a if trans == "N" else a.T).tocoo()
+    vals = m.data.astype(np.longdouble)
+    x = lu.solve(b, trans=trans).astype(np.longdouble)
+    for _ in range(3):
+        r = b.astype(np.longdouble)
+        np.subtract.at(r, m.row, vals * x[m.col])
+        x += lu.solve(r.astype(np.float64), trans=trans)
+    return x.astype(np.float64), lu
+
+
+@pytest.mark.parametrize("trans", ["N", "T"])
+@pytest.mark.parametrize("eta,scheme", [(1e-3, "ap"), (0.0, "ap"), (1e-3, "naive")])
+@pytest.mark.parametrize("h", [0.05, 0.025])
+def test_strip_path_matches_splu(h, eta, scheme, trans):
+    a = strip_system(h, eta, scheme).matrix
+    f = lu_factorize(a)
+    assert f._modes is not None
+    b = np.random.default_rng(31).standard_normal(a.shape[0])
+    ref, lu = refined_splu_solve(a, b, trans)
+    x = lu_solve(f, b, trans=trans)
+    assert np.linalg.norm(x - ref) <= 1e-7 * np.linalg.norm(ref)
+    assert f.L.nnz + f.U.nnz < lu.L.nnz + lu.U.nnz
+
+
+def test_superlu_path_for_full_mode_and_unstructured_matrices():
+    phys = PhysConfig(eta=1e-3, limiter_height=0.5)
+    disc = DiscConfig(dx=0.05, dy=0.05, dt=1e-3, mode="full")
+    full = build_ap_system(build_grid(phys, disc), phys, disc).matrix
+    for a in (full, random_dd(100, seed=3)):
+        f = lu_factorize(a)
+        assert f._modes is None
+        assert factor_residual(a, f) <= 1e-12 * np.abs(a.data).max()
+
+
+def test_strip_without_gauge_anchor_raises():
+    # without the anchor rows q is fixed only up to a function of y
+    system = strip_system(0.05, 1e-3, "ap")
+    a = system.matrix.copy()
+    rows = np.repeat(np.arange(a.shape[0]), np.diff(a.indptr))
+    a.data[np.isin(rows, system.blocks.rows_of_kind(RowKind.ANCHOR))] = 0.0
+    with pytest.raises(SingularPivotError):
+        lu_factorize(a)
+
+
+def test_strip_single_field_refused_at_tiny_eta():
+    # the row-scaled pivot is 1.1e-16 here
+    a = strip_system(0.0125, 1e-14, "naive").matrix
+    with pytest.raises(SingularPivotError, match="threshold"):
+        lu_factorize(a)
