@@ -10,18 +10,12 @@ library drivers and as a command line tool.
 """
 
 from .assembly import (
-    ApSystem,
     Forcing,
-    NaiveSystem,
     RowKind,
-    SystemBlocks,
+    System,
     ZERO_FORCING,
-    assemble_ap_matrix,
     assemble_ap_rhs,
-    assemble_naive_matrix,
-    assemble_naive_rhs,
-    build_ap_system,
-    build_naive_system,
+    build_system,
     micro_macro_deviation,
     write_matrix_market,
 )

@@ -1,11 +1,13 @@
 """Assembly of the constant linear systems and per-step right-hand sides.
 
-Two discretizations of the same model are built:
+One builder, ``build_system(grid, phys, disc, scheme)``, assembles two
+discretizations of the same model:
 
-* the coupled scheme in (phi, q), well-posed uniformly in eta, obtained
-  from the splitting phi = p + eta q with d_x p = 0 and q = 0 on x = -L;
-* the single-field scheme in phi alone, which carries 1/eta and is
-  undefined at eta = 0.
+* ``ap``: the coupled scheme in (phi, q), well-posed uniformly in eta,
+  obtained from the splitting phi = p + eta q with d_x p = 0 and q = 0 on
+  x = -L;
+* ``naive``: the single-field scheme in phi alone, which carries 1/eta and
+  is undefined at eta = 0.
 
 Both use centred differences in space and a semi-implicit Euler step in
 time: everything is implicit except the exponential sheath term at the
@@ -28,6 +30,17 @@ flux-match row per face node, D_x phi = eta D_x q, and one sheath row
 Row r of the matrix is aligned with unknown r: evolution rows sit in the
 phi slots, coupling/anchor rows in the q slots, flux-match rows in the
 ghost phi slots and sheath rows in the ghost q slots.
+
+The single-field scheme is the coupled one with q eliminated.  For
+eta > 0 the coupling row gives D_xx q = D_xx phi / eta and the flux-match
+row D_x q = D_x phi / eta, so the evolution x-term becomes
+-(1/eta) D_xx phi and the sheath row, multiplied by eta, becomes
+
+    west:  D_x phi - eta phi^{n+1} = eta (1 - exp(lambda - phi^n) - phi^n)
+    east:  D_x phi + eta phi^{n+1} = eta (-(1 - exp(lambda - phi^n)) + phi^n).
+
+Only the evolution and sheath rows remain, in the phi-only layout: every
+row and column index is the coupled slot // 2, the node ordinal.
 """
 
 from __future__ import annotations
@@ -50,19 +63,6 @@ class RowKind(enum.IntEnum):
     ANCHOR = 2
     FACE_FLUX_MATCH = 3
     FACE_SHEATH = 4
-    GHOST_CLOSURE = 5  # reserved; y-ghosts are eliminated analytically
-
-
-@dataclass(frozen=True)
-class SystemBlocks:
-    """Constant matrix with a per-row kind tag and the scheme it belongs to."""
-
-    matrix: sps.csr_matrix
-    row_kinds: np.ndarray
-    scheme: str
-
-    def rows_of_kind(self, kind: RowKind) -> np.ndarray:
-        return np.flatnonzero(self.row_kinds == int(kind))
 
 
 @dataclass(frozen=True)
@@ -100,39 +100,49 @@ def check_csr(matrix: sps.csr_matrix) -> None:
 
 
 class _Accumulator:
-    def __init__(self):
+    """COO triplets in the coupled (phi, q) slot layout.
+
+    ``fold = 2`` maps every row and column slot onto the phi-only layout of
+    the single-field scheme (slot // 2 is the node ordinal).
+    """
+
+    def __init__(self, fold: int):
+        self.fold = fold
         self.rows: list[int] = []
         self.cols: list[int] = []
         self.vals: list[float] = []
 
-    def add(self, r: int, entries) -> None:
+    def add(self, r: int, entries, factor: float = 1.0) -> None:
         for k, c in entries:
             self.rows.append(r)
             self.cols.append(k)
-            self.vals.append(c)
+            self.vals.append(factor * c)
 
     def to_csr(self, n: int) -> sps.csr_matrix:
-        m = sps.csr_matrix(
-            (self.vals, (self.rows, self.cols)), shape=(n, n), dtype=np.float64
-        )
+        rows = np.asarray(self.rows, dtype=np.intp) // self.fold
+        cols = np.asarray(self.cols, dtype=np.intp) // self.fold
+        m = sps.csr_matrix((self.vals, (rows, cols)), shape=(n, n), dtype=np.float64)
         m.sum_duplicates()
         m.eliminate_zeros()  # eta = 0 contributions are structural zeros
         m.sort_indices()
         return m
 
 
-def _scaled(entries, factor: float):
-    return [(k, factor * c) for k, c in entries]
-
-
 @dataclass
-class ApSystem:
-    """Coupled-scheme matrix plus the precomputed right-hand-side machinery."""
+class System:
+    """Constant matrix of one scheme plus the precomputed right-hand-side machinery.
+
+    Row r of ``matrix`` carries the equation tagged ``row_kinds[r]``; the
+    index arrays locate the rows and unknowns the per-step right-hand side
+    touches, in the scheme's own layout.
+    """
 
     grid: Grid
     phys: PhysConfig
     disc: DiscConfig
-    blocks: SystemBlocks
+    scheme: str
+    matrix: sps.csr_matrix
+    row_kinds: np.ndarray
     prev_op: sps.csr_matrix  # maps u^n to the explicit evolution part
     src_rows: np.ndarray  # evolution row index per plasma node
     src_x: np.ndarray
@@ -144,39 +154,44 @@ class ApSystem:
     east_phi: np.ndarray
     east_y: np.ndarray
 
-    @property
-    def matrix(self) -> sps.csr_matrix:
-        return self.blocks.matrix
-
-    @property
-    def scheme(self) -> str:
-        return self.blocks.scheme
+    def rows_of_kind(self, kind: RowKind) -> np.ndarray:
+        return np.flatnonzero(self.row_kinds == int(kind))
 
 
-class NaiveSystem(ApSystem):
-    """Single-field scheme; same machinery with eta-scaled sheath data."""
-
-
-def build_ap_system(grid: Grid, phys: PhysConfig, disc: DiscConfig) -> ApSystem:
-    """Assemble the coupled (phi, q) system; the matrix is constant per run."""
-    acc = _Accumulator()
-    prev = _Accumulator()
-    kinds = np.zeros(grid.N, dtype=np.uint8)
+def build_system(grid: Grid, phys: PhysConfig, disc: DiscConfig, scheme: str) -> System:
+    """Assemble the constant system of ``scheme`` ('ap' or 'naive')."""
+    if scheme not in ("ap", "naive"):
+        raise ValueError(f"unknown scheme {scheme!r}")
     eta, nu, dt = phys.eta, phys.nu, disc.dt
+    ap = scheme == "ap"
+    if not ap and eta == 0:
+        raise EtaZeroUndefinedError(
+            "EtaZeroUndefined: the single-field scheme divides by eta; "
+            "use the coupled scheme at eta = 0"
+        )
+    fold = 1 if ap else 2
+    x_field, x_coef = (Q, -1.0) if ap else (PHI, -1.0 / eta)
+    sheath_field, sheath_phi = (Q, 1.0) if ap else (PHI, eta)
+    acc = _Accumulator(fold)
+    prev = _Accumulator(fold)
+    n = grid.N // fold
+    kinds = np.zeros(n, dtype=np.uint8)
 
     src_rows, src_x, src_y = [], [], []
     for j in range(grid.Ny):
         for i in grid.plasma_cols(j):
             r = grid.slot(PHI, i, j)
-            kinds[r] = RowKind.EVOLUTION
+            kinds[r // fold] = RowKind.EVOLUTION
             row_dyy = dyy_row(grid, PHI, i, j)
-            acc.add(r, _scaled(row_dyy, -1.0 / dt))
-            acc.add(r, _scaled(dyyyy_row(grid, PHI, i, j), nu))
-            acc.add(r, _scaled(dxx_row(grid, Q, i, j), -1.0))
-            prev.add(r, _scaled(row_dyy, -1.0 / dt))
+            acc.add(r, row_dyy, -1.0 / dt)
+            acc.add(r, dyyyy_row(grid, PHI, i, j), nu)
+            acc.add(r, dxx_row(grid, x_field, i, j), x_coef)
+            prev.add(r, row_dyy, -1.0 / dt)
             src_rows.append(r)
             src_x.append(grid.x(i))
             src_y.append(grid.y(j))
+            if not ap:
+                continue
 
             r = grid.slot(Q, i, j)
             if i == grid.I1:
@@ -185,7 +200,7 @@ def build_ap_system(grid: Grid, phys: PhysConfig, disc: DiscConfig) -> ApSystem:
             else:
                 kinds[r] = RowKind.COUPLING
                 acc.add(r, dxx_row(grid, PHI, i, j))
-                acc.add(r, _scaled(dxx_row(grid, Q, i, j), -eta))
+                acc.add(r, dxx_row(grid, Q, i, j), -eta)
 
     west_rows, west_phi, west_y = [], [], []
     east_rows, east_phi, east_y = [], [], []
@@ -194,117 +209,47 @@ def build_ap_system(grid: Grid, phys: PhysConfig, disc: DiscConfig) -> ApSystem:
             (grid.I1, grid.I1 - 1, -1.0, west_rows, west_phi, west_y),
             (grid.I2, grid.I2 + 1, +1.0, east_rows, east_phi, east_y),
         ):
-            r = grid.slot(PHI, ghost, j)
-            kinds[r] = RowKind.FACE_FLUX_MATCH
-            acc.add(r, dx_central_row(grid, PHI, iface, j))
-            acc.add(r, _scaled(dx_central_row(grid, Q, iface, j), -eta))
+            if ap:
+                r = grid.slot(PHI, ghost, j)
+                kinds[r] = RowKind.FACE_FLUX_MATCH
+                acc.add(r, dx_central_row(grid, PHI, iface, j))
+                acc.add(r, dx_central_row(grid, Q, iface, j), -eta)
 
             r = grid.slot(Q, ghost, j)
-            kinds[r] = RowKind.FACE_SHEATH
-            acc.add(r, dx_central_row(grid, Q, iface, j))
-            acc.add(r, [(grid.slot(PHI, iface, j), sign)])
+            kinds[r // fold] = RowKind.FACE_SHEATH
+            acc.add(r, dx_central_row(grid, sheath_field, iface, j))
+            acc.add(r, [(grid.slot(PHI, iface, j), sign * sheath_phi)])
             rows.append(r)
             phis.append(grid.slot(PHI, iface, j))
             ys.append(grid.y(j))
 
-    matrix = acc.to_csr(grid.N)
-    check_csr(matrix)
-    return ApSystem(
-        grid=grid,
-        phys=phys,
-        disc=disc,
-        blocks=SystemBlocks(matrix=matrix, row_kinds=kinds, scheme="ap"),
-        prev_op=prev.to_csr(grid.N),
-        src_rows=np.asarray(src_rows, dtype=np.intp),
-        src_x=np.asarray(src_x),
-        src_y=np.asarray(src_y),
-        west_rows=np.asarray(west_rows, dtype=np.intp),
-        west_phi=np.asarray(west_phi, dtype=np.intp),
-        west_y=np.asarray(west_y),
-        east_rows=np.asarray(east_rows, dtype=np.intp),
-        east_phi=np.asarray(east_phi, dtype=np.intp),
-        east_y=np.asarray(east_y),
-    )
-
-
-def build_naive_system(grid: Grid, phys: PhysConfig, disc: DiscConfig) -> NaiveSystem:
-    """Assemble the single-field system in phi; requires eta > 0."""
-    if phys.eta == 0:
-        raise EtaZeroUndefinedError(
-            "EtaZeroUndefined: the single-field scheme divides by eta; "
-            "use the coupled scheme at eta = 0"
-        )
-    acc = _Accumulator()
-    prev = _Accumulator()
-    n = grid.N // 2
-    kinds = np.zeros(n, dtype=np.uint8)
-    eta, nu, dt = phys.eta, phys.nu, disc.dt
-
-    def slot(i, j):
-        return grid.naive_slot(i, j)
-
-    def reslot(entries):
-        # stencil rows index the coupled layout; fold onto the phi-only layout
-        return [(k // 2, c) for k, c in entries]
-
-    src_rows, src_x, src_y = [], [], []
-    for j in range(grid.Ny):
-        for i in grid.plasma_cols(j):
-            r = slot(i, j)
-            kinds[r] = RowKind.EVOLUTION
-            row_dyy = reslot(dyy_row(grid, PHI, i, j))
-            acc.add(r, _scaled(row_dyy, -1.0 / dt))
-            acc.add(r, _scaled(reslot(dyyyy_row(grid, PHI, i, j)), nu))
-            acc.add(r, _scaled(reslot(dxx_row(grid, PHI, i, j)), -1.0 / eta))
-            prev.add(r, _scaled(row_dyy, -1.0 / dt))
-            src_rows.append(r)
-            src_x.append(grid.x(i))
-            src_y.append(grid.y(j))
-
-    west_rows, west_phi, west_y = [], [], []
-    east_rows, east_phi, east_y = [], [], []
-    for j in grid.face_rows():
-        for iface, ghost, sign, rows, phis, ys in (
-            (grid.I1, grid.I1 - 1, -1.0, west_rows, west_phi, west_y),
-            (grid.I2, grid.I2 + 1, +1.0, east_rows, east_phi, east_y),
-        ):
-            r = slot(ghost, j)
-            kinds[r] = RowKind.FACE_SHEATH
-            acc.add(r, reslot(dx_central_row(grid, PHI, iface, j)))
-            acc.add(r, [(slot(iface, j), sign * eta)])
-            rows.append(r)
-            phis.append(slot(iface, j))
-            ys.append(grid.y(j))
-
     matrix = acc.to_csr(n)
     check_csr(matrix)
-    return NaiveSystem(
+
+    def index(slots):
+        return np.asarray(slots, dtype=np.intp) // fold
+
+    return System(
         grid=grid,
         phys=phys,
         disc=disc,
-        blocks=SystemBlocks(matrix=matrix, row_kinds=kinds, scheme="naive"),
+        scheme=scheme,
+        matrix=matrix,
+        row_kinds=kinds,
         prev_op=prev.to_csr(n),
-        src_rows=np.asarray(src_rows, dtype=np.intp),
+        src_rows=index(src_rows),
         src_x=np.asarray(src_x),
         src_y=np.asarray(src_y),
-        west_rows=np.asarray(west_rows, dtype=np.intp),
-        west_phi=np.asarray(west_phi, dtype=np.intp),
+        west_rows=index(west_rows),
+        west_phi=index(west_phi),
         west_y=np.asarray(west_y),
-        east_rows=np.asarray(east_rows, dtype=np.intp),
-        east_phi=np.asarray(east_phi, dtype=np.intp),
+        east_rows=index(east_rows),
+        east_phi=index(east_phi),
         east_y=np.asarray(east_y),
     )
 
 
-def assemble_ap_matrix(grid: Grid, phys: PhysConfig, disc: DiscConfig) -> SystemBlocks:
-    return build_ap_system(grid, phys, disc).blocks
-
-
-def assemble_naive_matrix(grid: Grid, phys: PhysConfig, disc: DiscConfig) -> SystemBlocks:
-    return build_naive_system(grid, phys, disc).blocks
-
-
-def _sheath_data(system: ApSystem, u_n: np.ndarray):
+def _sheath_data(system: System, u_n: np.ndarray):
     lam = system.phys.lambda_ref
     pw = u_n[system.west_phi]
     pe = u_n[system.east_phi]
@@ -313,7 +258,7 @@ def _sheath_data(system: ApSystem, u_n: np.ndarray):
     return west, east
 
 
-def assemble_ap_rhs(system: ApSystem, state, forcing: Forcing) -> np.ndarray:
+def assemble_ap_rhs(system: System, state, forcing: Forcing) -> np.ndarray:
     """Right-hand side for the step from state.t to state.t + dt.
 
     Evolution rows: -(D_yy phi^n)/dt + S(t^{n+1}); coupling, anchor and
@@ -342,11 +287,6 @@ def assemble_ap_rhs(system: ApSystem, state, forcing: Forcing) -> np.ndarray:
     return b
 
 
-def assemble_naive_rhs(system: NaiveSystem, state, forcing: Forcing) -> np.ndarray:
-    """Single-field right-hand side; sheath data scaled by eta."""
-    return assemble_ap_rhs(system, state, forcing)
-
-
 def micro_macro_deviation(grid: Grid, u: np.ndarray, eta: float) -> float:
     """Max over rows of the x-variation of p = phi - eta q.
 
@@ -354,17 +294,12 @@ def micro_macro_deviation(grid: Grid, u: np.ndarray, eta: float) -> float:
     after a solve this is bounded by the solver residual; it is the cheap
     per-step diagnostic of the splitting.
     """
-    worst = 0.0
-    for j in range(grid.Ny):
-        cols = list(grid.plasma_cols(j))
-        if grid.row_has_ghosts(j):
-            cols = [grid.I1 - 1] + cols + [grid.I2 + 1]
-        p = [
-            u[grid.slot(PHI, i, j)] - eta * u[grid.slot(Q, i, j)]
-            for i in cols
-        ]
-        worst = max(worst, max(p) - min(p))
-    return worst
+    p = u[0::2] - eta * u[1::2]
+    # Nodes are enumerated row by row (ghosts included on face rows, the
+    # seam column once on band rows); a new row starts where y changes.
+    y = grid.node_coords()[1]
+    starts = np.flatnonzero(np.r_[True, y[1:] != y[:-1]])
+    return float(np.max(np.maximum.reduceat(p, starts) - np.minimum.reduceat(p, starts)))
 
 
 def write_matrix_market(matrix: sps.spmatrix, path) -> None:

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import verification
-from .assembly import Forcing, write_matrix_market, build_ap_system, build_naive_system
+from .assembly import Forcing, build_system, write_matrix_market
 from .errors import (
     ConfigError,
     EdgepotError,
@@ -229,11 +229,7 @@ def _cmd_run(spec: RunSpec, args) -> int:
     forcing, phi_ini, ms = _resolve_source(spec)
     grid = build_grid(spec.phys, spec.disc)
     if args.dump_matrix:
-        system = (
-            build_ap_system(grid, spec.phys, spec.disc)
-            if spec.scheme == "ap"
-            else build_naive_system(grid, spec.phys, spec.disc)
-        )
+        system = build_system(grid, spec.phys, spec.disc, spec.scheme)
         write_matrix_market(system.matrix, args.dump_matrix)
     final = run(grid, spec.phys, spec.disc, forcing, phi_ini, scheme=spec.scheme)
     print(f"steps={final.n} t={final.t!r}")
@@ -245,18 +241,8 @@ def _cmd_run(spec: RunSpec, args) -> int:
         err = l2_norm(grid, final.phi - ms.phi(final.t, x, y))
         print(f"error vs exact: l2={err!r}")
     if args.dump_fields:
+        Path(args.dump_fields).parent.mkdir(parents=True, exist_ok=True)
         dump_field(grid, final, args.dump_fields, header=spec_echo(spec))
-    return 0
-
-
-def _cmd_dump_fields(spec: RunSpec, args) -> int:
-    forcing, phi_ini, _ = _resolve_source(spec)
-    grid = build_grid(spec.phys, spec.disc)
-    final = run(grid, spec.phys, spec.disc, forcing, phi_ini, scheme=spec.scheme)
-    out = Path(args.out) if args.out else spec.outdir / "fields.txt"
-    out.parent.mkdir(parents=True, exist_ok=True)
-    dump_field(grid, final, out, header=spec_echo(spec))
-    print(f"wrote {out}")
     return 0
 
 
@@ -385,10 +371,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p_run.add_argument("--dump-fields", default=None, help="write final fields here")
     p_run.add_argument("--dump-matrix", default=None, help="write the system matrix (MatrixMarket)")
 
-    p_dump = sub.add_parser("dump-fields", help="run and dump final fields")
-    add_common(p_dump)
-    p_dump.add_argument("--out", default=None, help="output path (default outdir/fields.txt)")
-
     p_conv = sub.add_parser("mms-convergence", help="mesh-convergence study")
     add_common(p_conv)
     p_conv.add_argument("--grids", default="0.05,0.025,0.0125,0.00625",
@@ -410,7 +392,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     handlers = {
         "run": _cmd_run,
-        "dump-fields": _cmd_dump_fields,
         "mms-convergence": _cmd_mms_convergence,
         "eta-sweep": _cmd_eta_sweep,
         "condition-study": _cmd_condition_study,

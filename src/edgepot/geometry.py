@@ -277,10 +277,6 @@ class Grid:
         i, j = self.phi_nodes[slot // 2]
         return slot % 2, i, j
 
-    def naive_slot(self, i: int, j: int) -> int:
-        """Flat index in the single-field (phi only) layout."""
-        return self.ordinal(i, j)
-
     def node_coords(self) -> tuple[np.ndarray, np.ndarray]:
         """x and y arrays aligned with the phi enumeration."""
         return self._x_arr, self._y_arr
@@ -291,13 +287,6 @@ class Grid:
         return self._plasma_ordinals
 
     # ---- classification ----------------------------------------------
-
-    def is_plasma(self, i: int, j: int) -> bool:
-        if not 0 <= j < self.Ny:
-            return False
-        if self.mode == "full" and j >= self.j_l:
-            return 0 <= i <= self.n_band_cols  # i = n_band_cols is the seam twin
-        return self.I1 <= i <= self.I2
 
     def classify(self, i: int, j: int) -> NodeClassification:
         """Deterministic classification of a plasma or ghost node."""

@@ -9,14 +9,7 @@ from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from .assembly import (
-    ApSystem,
-    Forcing,
-    ZERO_FORCING,
-    assemble_ap_rhs,
-    build_ap_system,
-    build_naive_system,
-)
+from .assembly import Forcing, System, ZERO_FORCING, assemble_ap_rhs, build_system
 from .errors import NonFiniteInitialError
 from .geometry import DiscConfig, Grid, PhysConfig
 from .linsolve import LUFactors, lu_factorize, lu_solve
@@ -89,7 +82,7 @@ def _warn_if_x_dependent(grid: Grid, phi0: np.ndarray) -> None:
 
 
 def step(
-    state: State, factors: LUFactors, system: ApSystem, forcing: Forcing = ZERO_FORCING
+    state: State, factors: LUFactors, system: System, forcing: Forcing = ZERO_FORCING
 ) -> State:
     """Advance one time step; the matrix is never re-factorized here."""
     b = assemble_ap_rhs(system, state, forcing)
@@ -131,12 +124,7 @@ def run(
     accepted step.  Independent runs share nothing mutable and may execute
     concurrently.
     """
-    if scheme == "ap":
-        system = build_ap_system(grid, phys, disc)
-    elif scheme == "naive":
-        system = build_naive_system(grid, phys, disc)
-    else:
-        raise ValueError(f"unknown scheme {scheme!r}")
+    system = build_system(grid, phys, disc, scheme)
     factors = lu_factorize(system.matrix)
     state = init_state(grid, phys, phi_ini, scheme=scheme)
     for obs in observers:

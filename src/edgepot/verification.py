@@ -28,7 +28,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .assembly import Forcing, build_ap_system, build_naive_system
+from .assembly import Forcing, build_system
 from .errors import SingularPivotError
 from .geometry import DiscConfig, Grid, PhysConfig, build_grid
 from .linsolve import CondEstimate, estimate_cond2, lu_factorize
@@ -234,14 +234,14 @@ def run_condition_study(
         phys = PhysConfig(eta=eta, nu=nu, lambda_ref=lambda_ref, L=L)
         disc = DiscConfig(dx=delta, dy=delta, dt=dt, mode="strip")
         grid = build_grid(phys, disc)
-        ap = build_ap_system(grid, phys, disc)
+        ap = build_system(grid, phys, disc, "ap")
         est = estimate_cond2(
             ap.matrix, lu_factorize(ap.matrix), tol=tol, max_iter=max_iter,
             equilibrate=True,
         )
         kn: Optional[CondEstimate] = None
         if eta > 0:
-            nv = build_naive_system(grid, phys, disc)
+            nv = build_system(grid, phys, disc, "naive")
             try:
                 kn = estimate_cond2(
                     nv.matrix, lu_factorize(nv.matrix), tol=tol, max_iter=max_iter,

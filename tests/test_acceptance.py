@@ -13,7 +13,7 @@ import pytest
 import scipy.sparse as sps
 
 import edgepot.timeloop
-from edgepot.assembly import ZERO_FORCING, assemble_ap_matrix, build_ap_system
+from edgepot.assembly import ZERO_FORCING, build_system
 from edgepot.geometry import PHI, DiscConfig, PhysConfig, build_grid
 from edgepot.linsolve import estimate_cond2, lu_factorize, lu_solve
 from edgepot.manufactured import (
@@ -95,7 +95,7 @@ def test_criterion_4_matrix_constancy(monkeypatch):
     grid = build_grid(phys, disc)
     ms = corrected_mms(phys.eta, phys.nu, phys.lambda_ref)
     final = run(grid, phys, disc, ms.forcing, ms.phi_ini)
-    again = assemble_ap_matrix(grid, phys, disc).matrix
+    again = build_system(grid, phys, disc, "ap").matrix
     bit_identical = (
         np.array_equal(calls[0].data, again.data)
         and np.array_equal(calls[0].indices, again.indices)
@@ -117,7 +117,7 @@ def test_criterion_5_fixed_point():
             phys = PhysConfig(eta=eta, nu=nu, lambda_ref=lam, t_end=1.0)
             disc = DiscConfig(dx=0.2, dy=0.25, dt=1e-2, mode="strip")
             grid = build_grid(phys, disc)
-            system = build_ap_system(grid, phys, disc)
+            system = build_system(grid, phys, disc, "ap")
             factors = lu_factorize(system.matrix)
             state = init_state(grid, phys, lambda x, y: np.full_like(x, lam))
             for _ in range(100):

@@ -6,18 +6,14 @@ from edgepot.assembly import (
     Forcing,
     RowKind,
     ZERO_FORCING,
-    assemble_ap_matrix,
     assemble_ap_rhs,
-    assemble_naive_matrix,
-    assemble_naive_rhs,
-    build_ap_system,
-    build_naive_system,
+    build_system,
     check_csr,
     micro_macro_deviation,
     write_matrix_market,
 )
 from edgepot.errors import EtaZeroUndefinedError, NonFiniteSourceError
-from edgepot.geometry import PHI, DiscConfig, PhysConfig, build_grid
+from edgepot.geometry import PHI, Q, DiscConfig, PhysConfig, build_grid
 from edgepot.linsolve import lu_factorize, lu_solve
 from edgepot.manufactured import corrected_mms
 from edgepot.timeloop import init_state
@@ -35,7 +31,7 @@ def make(eta=1e-3, dx=0.1, dy=0.25, dt=1e-3, lam=0.0, nu=1.0):
 def test_ap_row_count_identity():
     grid, phys, disc = make()
     assert (grid.Nx, grid.Ny) == (9, 5)
-    blocks = assemble_ap_matrix(grid, phys, disc)
+    blocks = build_system(grid, phys, disc, "ap")
     counts = {kind: len(blocks.rows_of_kind(kind)) for kind in RowKind}
     assert counts[RowKind.EVOLUTION] == grid.Nx * grid.Ny
     assert counts[RowKind.COUPLING] == (grid.Nx - 1) * grid.Ny
@@ -46,25 +42,25 @@ def test_ap_row_count_identity():
 
 def test_naive_row_count():
     grid, phys, disc = make()
-    blocks = assemble_naive_matrix(grid, phys, disc)
+    blocks = build_system(grid, phys, disc, "naive")
     assert blocks.matrix.shape[0] == grid.Nx * grid.Ny + 2 * grid.Ny
 
 
 def test_assembly_is_bit_identical():
     grid, phys, disc = make()
-    a = assemble_ap_matrix(grid, phys, disc).matrix
-    b = assemble_ap_matrix(grid, phys, disc).matrix
+    a = build_system(grid, phys, disc, "ap").matrix
+    b = build_system(grid, phys, disc, "ap").matrix
     assert np.array_equal(a.data, b.data)
     assert np.array_equal(a.indices, b.indices)
     assert np.array_equal(a.indptr, b.indptr)
-    an = assemble_naive_matrix(grid, phys, disc).matrix
-    bn = assemble_naive_matrix(grid, phys, disc).matrix
+    an = build_system(grid, phys, disc, "naive").matrix
+    bn = build_system(grid, phys, disc, "naive").matrix
     assert np.array_equal(an.data, bn.data)
 
 
 def test_eta_zero_matrix_well_formed():
     grid, phys, disc = make(eta=0.0)
-    blocks = assemble_ap_matrix(grid, phys, disc)
+    blocks = build_system(grid, phys, disc, "ap")
     check_csr(blocks.matrix)
     # coupling rows degenerate to the second difference of phi alone
     r = int(blocks.rows_of_kind(RowKind.COUPLING)[0])
@@ -76,14 +72,14 @@ def test_eta_zero_matrix_well_formed():
 def test_naive_requires_positive_eta():
     grid, phys, disc = make(eta=0.0)
     with pytest.raises(EtaZeroUndefinedError, match="EtaZeroUndefined"):
-        assemble_naive_matrix(grid, phys, disc)
+        build_system(grid, phys, disc, "naive")
 
 
 def test_full_mode_assembles_and_counts():
     phys = PhysConfig(eta=1e-3, limiter_height=0.5)
     disc = DiscConfig(dx=0.05, dy=0.05, dt=1e-3, mode="full")
     grid = build_grid(phys, disc)
-    blocks = assemble_ap_matrix(grid, phys, disc)
+    blocks = build_system(grid, phys, disc, "ap")
     check_csr(blocks.matrix)
     counts = {kind: len(blocks.rows_of_kind(kind)) for kind in RowKind}
     below, above = grid.j_l, grid.Ny - grid.j_l
@@ -98,7 +94,7 @@ def test_full_mode_assembles_and_counts():
 
 def test_rhs_zero_state_zero_source_is_zero():
     grid, phys, disc = make(lam=0.0)
-    system = build_ap_system(grid, phys, disc)
+    system = build_system(grid, phys, disc, "ap")
     state = init_state(grid, phys, lambda x, y: np.zeros_like(x))
     b = assemble_ap_rhs(system, state, ZERO_FORCING)
     assert np.all(b == 0.0)
@@ -106,15 +102,15 @@ def test_rhs_zero_state_zero_source_is_zero():
 
 def test_rhs_sheath_values_from_previous_state():
     grid, phys, disc = make(lam=1.0)
-    system = build_ap_system(grid, phys, disc)
+    system = build_system(grid, phys, disc, "ap")
     state = init_state(grid, phys, lambda x, y: np.ones_like(x))
     b = assemble_ap_rhs(system, state, ZERO_FORCING)
     # west: 1 - exp(1 - 1) - 1 = -1; east: -(1 - exp(0)) + 1 = +1
     assert b[system.west_rows] == pytest.approx(-1.0)
     assert b[system.east_rows] == pytest.approx(1.0)
-    coupling = system.blocks.rows_of_kind(RowKind.COUPLING)
-    anchor = system.blocks.rows_of_kind(RowKind.ANCHOR)
-    flux = system.blocks.rows_of_kind(RowKind.FACE_FLUX_MATCH)
+    coupling = system.rows_of_kind(RowKind.COUPLING)
+    anchor = system.rows_of_kind(RowKind.ANCHOR)
+    flux = system.rows_of_kind(RowKind.FACE_FLUX_MATCH)
     assert np.all(b[coupling] == 0.0)
     assert np.all(b[anchor] == 0.0)
     assert np.all(b[flux] == 0.0)
@@ -122,16 +118,16 @@ def test_rhs_sheath_values_from_previous_state():
 
 def test_naive_rhs_scaled_by_eta():
     grid, phys, disc = make(eta=1e-3, lam=0.0)
-    system = build_naive_system(grid, phys, disc)
+    system = build_system(grid, phys, disc, "naive")
     state = init_state(grid, phys, lambda x, y: np.ones_like(x), scheme="naive")
-    b = assemble_naive_rhs(system, state, ZERO_FORCING)
+    b = assemble_ap_rhs(system, state, ZERO_FORCING)
     assert b[system.west_rows] == pytest.approx(-0.00036787944117144236)
 
 
 def test_evolution_rhs_shared_between_schemes():
     grid, phys, disc = make(eta=0.5)
-    ap = build_ap_system(grid, phys, disc)
-    nv = build_naive_system(grid, phys, disc)
+    ap = build_system(grid, phys, disc, "ap")
+    nv = build_system(grid, phys, disc, "naive")
     rng = np.random.default_rng(3)
     phi = rng.standard_normal(len(grid.phi_nodes))
     s_ap = init_state(grid, phys, lambda x, y: np.zeros_like(x))
@@ -140,13 +136,13 @@ def test_evolution_rhs_shared_between_schemes():
     s_nv.u[:] = phi
     forcing = Forcing(volume=lambda t, x, y: np.sin(x + y) + t)
     b_ap = assemble_ap_rhs(ap, s_ap, forcing)
-    b_nv = assemble_naive_rhs(nv, s_nv, forcing)
+    b_nv = assemble_ap_rhs(nv, s_nv, forcing)
     assert b_ap[ap.src_rows] == pytest.approx(b_nv[nv.src_rows], rel=1e-14)
 
 
 def test_rhs_rejects_non_finite_source():
     grid, phys, disc = make()
-    system = build_ap_system(grid, phys, disc)
+    system = build_system(grid, phys, disc, "ap")
     state = init_state(grid, phys, lambda x, y: np.zeros_like(x))
     bad = Forcing(volume=lambda t, x, y: np.full_like(x, np.inf))
     with pytest.raises(NonFiniteSourceError):
@@ -161,31 +157,54 @@ def test_rhs_rejects_non_finite_source():
 def test_one_step_matches_naive_scheme(eta):
     grid, phys, disc = make(eta=eta, dx=0.05, dy=0.05, dt=1e-4)
     ms = corrected_mms(eta, phys.nu, phys.lambda_ref)
-    ap = build_ap_system(grid, phys, disc)
-    nv = build_naive_system(grid, phys, disc)
+    ap = build_system(grid, phys, disc, "ap")
+    nv = build_system(grid, phys, disc, "naive")
     x, y = grid.node_coords()
     phi0 = ms.phi(0.5, x, y)
     s_ap = init_state(grid, phys, lambda xx, yy: ms.phi(0.5, xx, yy))
     s_nv = init_state(grid, phys, lambda xx, yy: ms.phi(0.5, xx, yy), scheme="naive")
     shifted = Forcing(volume=lambda t, xx, yy: ms.forcing.volume(t + 0.5, xx, yy))
     u_ap = lu_solve(lu_factorize(ap.matrix), assemble_ap_rhs(ap, s_ap, shifted))
-    u_nv = lu_solve(lu_factorize(nv.matrix), assemble_naive_rhs(nv, s_nv, shifted))
+    u_nv = lu_solve(lu_factorize(nv.matrix), assemble_ap_rhs(nv, s_nv, shifted))
     diff = np.abs(u_ap[0::2] - u_nv).max()
     assert diff <= 10 * disc.dx**2  # the schemes are in fact equivalent to roundoff
     assert diff <= 1e-7
     assert micro_macro_deviation(grid, u_ap, eta) <= disc.dx**2 + 1e-8
 
 
+def test_micro_macro_deviation_matches_row_loop_in_full_mode():
+    # band rows carry no ghosts and store the periodic seam column once
+    eta = 0.3
+    phys = PhysConfig(eta=eta, limiter_height=0.5)
+    disc = DiscConfig(dx=0.05, dy=0.05, dt=1e-3, mode="full")
+    grid = build_grid(phys, disc)
+    u = np.random.default_rng(7).standard_normal(grid.N)
+    worst = 0.0
+    for j in range(grid.Ny):
+        cols = list(grid.plasma_cols(j))
+        if grid.row_has_ghosts(j):
+            cols = [grid.I1 - 1] + cols + [grid.I2 + 1]
+        p = [u[grid.slot(PHI, i, j)] - eta * u[grid.slot(Q, i, j)] for i in cols]
+        worst = max(worst, max(p) - min(p))
+    assert micro_macro_deviation(grid, u, eta) == worst
+
+
+def test_build_system_rejects_unknown_scheme():
+    grid, phys, disc = make()
+    with pytest.raises(ValueError, match="unknown scheme"):
+        build_system(grid, phys, disc, "coupled")
+
+
 @pytest.mark.parametrize("eta", [1.0, 1e-3, 1e-6, 0.0])
 def test_ap_factorizes_across_eta(eta):
     grid, phys, disc = make(eta=eta)
-    lu_factorize(assemble_ap_matrix(grid, phys, disc).matrix)
+    lu_factorize(build_system(grid, phys, disc, "ap").matrix)
 
 
 @pytest.mark.parametrize("eta", [1.0, 1e-3, 1e-6])
 def test_naive_factorizes_across_eta(eta):
     grid, phys, disc = make(eta=eta)
-    lu_factorize(assemble_naive_matrix(grid, phys, disc).matrix)
+    lu_factorize(build_system(grid, phys, disc, "naive").matrix)
 
 
 # ---- external format ------------------------------------------------------
@@ -193,7 +212,7 @@ def test_naive_factorizes_across_eta(eta):
 
 def test_matrix_market_round_trip(tmp_path):
     grid, phys, disc = make()
-    a = assemble_ap_matrix(grid, phys, disc).matrix
+    a = build_system(grid, phys, disc, "ap").matrix
     path = tmp_path / "system.mtx"
     write_matrix_market(a, path)
     b = scipy.io.mmread(path).tocsr()

@@ -201,6 +201,17 @@ def test_main_dump_matrix(tmp_path):
     assert header.startswith("%%MatrixMarket")
 
 
+def test_dump_fields_subcommand_is_gone(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["dump-fields"])
+    assert exc.value.code == 2
+    # run --dump-fields writes the same file, creating its directory
+    out = tmp_path / "out" / "fields.txt"
+    assert main(["run", "--source", "zero", "--dx", "0.1", "--dy", "0.1", "--T", "0.01",
+                 "--dump-fields", str(out)]) == 0
+    assert out.exists()
+
+
 def test_main_condition_study_csv_and_determinism(tmp_path, capsys):
     args = [
         "condition-study", "--etas", "1e-2,0", "--dx", "0.1", "--dy", "0.1",

@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sps
 import scipy.sparse.linalg as spla
 
-from edgepot.assembly import RowKind, build_ap_system, build_naive_system
+from edgepot.assembly import RowKind, build_system
 from edgepot.errors import DimensionMismatchError, SingularPivotError
 from edgepot.geometry import DiscConfig, PhysConfig, build_grid
 from edgepot.linsolve import (
@@ -223,8 +223,7 @@ def strip_system(h, eta, scheme, dt=1e-3):
     phys = PhysConfig(eta=eta)
     disc = DiscConfig(dx=h, dy=h, dt=dt, mode="strip")
     grid = build_grid(phys, disc)
-    build = build_ap_system if scheme == "ap" else build_naive_system
-    return build(grid, phys, disc)
+    return build_system(grid, phys, disc, scheme)
 
 
 def refined_splu_solve(a, b, trans):
@@ -265,7 +264,7 @@ def test_strip_path_matches_splu(h, eta, scheme, trans):
 def test_superlu_path_for_full_mode_and_unstructured_matrices():
     phys = PhysConfig(eta=1e-3, limiter_height=0.5)
     disc = DiscConfig(dx=0.05, dy=0.05, dt=1e-3, mode="full")
-    full = build_ap_system(build_grid(phys, disc), phys, disc).matrix
+    full = build_system(build_grid(phys, disc), phys, disc, "ap").matrix
     for a in (full, random_dd(100, seed=3)):
         f = lu_factorize(a)
         assert f._modes is None
@@ -277,7 +276,7 @@ def test_strip_without_gauge_anchor_raises():
     system = strip_system(0.05, 1e-3, "ap")
     a = system.matrix.copy()
     rows = np.repeat(np.arange(a.shape[0]), np.diff(a.indptr))
-    a.data[np.isin(rows, system.blocks.rows_of_kind(RowKind.ANCHOR))] = 0.0
+    a.data[np.isin(rows, system.rows_of_kind(RowKind.ANCHOR))] = 0.0
     with pytest.raises(SingularPivotError):
         lu_factorize(a)
 

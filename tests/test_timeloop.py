@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import edgepot.timeloop
-from edgepot.assembly import ZERO_FORCING, build_ap_system
+from edgepot.assembly import ZERO_FORCING, build_system
 from edgepot.errors import NonFiniteInitialError
 from edgepot.geometry import DiscConfig, PhysConfig, build_grid
 from edgepot.linsolve import lu_factorize
@@ -51,7 +51,7 @@ def test_init_rejects_non_finite():
 
 def test_zero_state_is_exact_fixed_point():
     grid, phys, disc = make(lam=0.0)
-    system = build_ap_system(grid, phys, disc)
+    system = build_system(grid, phys, disc, "ap")
     factors = lu_factorize(system.matrix)
     state = init_state(grid, phys, lambda x, y: np.zeros_like(x))
     nxt = step(state, factors, system, ZERO_FORCING)
@@ -62,7 +62,7 @@ def test_zero_state_is_exact_fixed_point():
 
 def test_reference_potential_is_fixed_point():
     grid, phys, disc = make(lam=5.0, dx=0.2, dy=0.25, dt=1e-2)
-    system = build_ap_system(grid, phys, disc)
+    system = build_system(grid, phys, disc, "ap")
     factors = lu_factorize(system.matrix)
     state = init_state(grid, phys, lambda x, y: np.full_like(x, 5.0))
     nxt = step(state, factors, system, ZERO_FORCING)
@@ -82,7 +82,7 @@ def test_one_step_defect_bounded_by_dt_and_mesh():
     def one_step_defect(d, dt):
         grid, phys, disc = make(dx=d, dy=d, dt=dt)
         ms = corrected_mms(phys.eta, phys.nu, phys.lambda_ref)
-        system = build_ap_system(grid, phys, disc)
+        system = build_system(grid, phys, disc, "ap")
         factors = lu_factorize(system.matrix)
         t0 = 0.5
         state = init_state(grid, phys, lambda x, y: ms.phi(t0, x, y))
