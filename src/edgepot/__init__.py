@@ -50,7 +50,7 @@ from .manufactured import (
     sheath_residuals,
     smooth_mms,
 )
-from .stencils import StencilRow, dx_central_row, dxx_row, dyy_row, dyyyy_row
+from .stencils import dx_central_row, dxx_row, dyy_row, dyyyy_row
 from .timeloop import State, init_state, run, step
 from .verification import (
     CondRow,

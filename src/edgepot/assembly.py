@@ -99,33 +99,26 @@ def check_csr(matrix: sps.csr_matrix) -> None:
         raise SingularStructureError("column indices not sorted within rows")
 
 
-class _Accumulator:
-    """COO triplets in the coupled (phi, q) slot layout.
+def _select(cols: np.ndarray, n_cols: int, value: float = 1.0) -> sps.csr_matrix:
+    """One row per entry of ``cols``, holding ``value`` in that column."""
+    n = len(cols)
+    return sps.csr_matrix((np.full(n, value), (np.arange(n), cols)), shape=(n, n_cols))
+
+
+def _place(blocks, n: int, fold: int) -> sps.csr_matrix:
+    """Stack (coupled row slots, operator) blocks into one n x n CSR matrix.
 
     ``fold = 2`` maps every row and column slot onto the phi-only layout of
     the single-field scheme (slot // 2 is the node ordinal).
     """
-
-    def __init__(self, fold: int):
-        self.fold = fold
-        self.rows: list[int] = []
-        self.cols: list[int] = []
-        self.vals: list[float] = []
-
-    def add(self, r: int, entries, factor: float = 1.0) -> None:
-        for k, c in entries:
-            self.rows.append(r)
-            self.cols.append(k)
-            self.vals.append(factor * c)
-
-    def to_csr(self, n: int) -> sps.csr_matrix:
-        rows = np.asarray(self.rows, dtype=np.intp) // self.fold
-        cols = np.asarray(self.cols, dtype=np.intp) // self.fold
-        m = sps.csr_matrix((self.vals, (rows, cols)), shape=(n, n), dtype=np.float64)
-        m.sum_duplicates()
-        m.eliminate_zeros()  # eta = 0 contributions are structural zeros
-        m.sort_indices()
-        return m
+    coo = [(rows, op.tocoo()) for rows, op in blocks]
+    r = np.concatenate([rows[op.row] for rows, op in coo]) // fold
+    c = np.concatenate([op.col for _, op in coo]) // fold
+    v = np.concatenate([op.data for _, op in coo])
+    m = sps.csr_matrix((v, (r, c)), shape=(n, n), dtype=np.float64)
+    m.sum_duplicates()
+    m.eliminate_zeros()  # eta = 0 contributions are structural zeros
+    return m
 
 
 @dataclass
@@ -172,63 +165,42 @@ def build_system(grid: Grid, phys: PhysConfig, disc: DiscConfig, scheme: str) ->
     fold = 1 if ap else 2
     x_field, x_coef = (Q, -1.0) if ap else (PHI, -1.0 / eta)
     sheath_field, sheath_phi = (Q, 1.0) if ap else (PHI, eta)
-    acc = _Accumulator(fold)
-    prev = _Accumulator(fold)
-    n = grid.N // fold
+    N = grid.N
+
+    k = grid.plasma_ordinals
+    i, j = grid.phi_nodes[k].T
+    prev = dyy_row(grid, PHI, i, j) * (-1.0 / dt)
+    evolution = prev + dyyyy_row(grid, PHI, i, j) * nu + dxx_row(grid, x_field, i, j) * x_coef
+    src_rows = 2 * k + PHI
+    blocks = [(RowKind.EVOLUTION, src_rows, evolution)]
+    if ap:
+        a, c = i == grid.I1, i != grid.I1
+        coupling = dxx_row(grid, PHI, i[c], j[c]) + dxx_row(grid, Q, i[c], j[c]) * -eta
+        blocks += [
+            (RowKind.ANCHOR, 2 * k[a] + Q, _select(2 * k[a] + Q, N)),
+            (RowKind.COUPLING, 2 * k[c] + Q, coupling),
+        ]
+
+    jf = np.asarray(grid.face_rows())
+    faces = []
+    for iface, ghost, sign in ((grid.I1, grid.I1 - 1, -1.0), (grid.I2, grid.I2 + 1, +1.0)):
+        if ap:
+            flux = dx_central_row(grid, PHI, iface, jf) + dx_central_row(grid, Q, iface, jf) * -eta
+            blocks.append((RowKind.FACE_FLUX_MATCH, grid.slot(PHI, ghost, jf), flux))
+        sheath_rows, face_phi = grid.slot(Q, ghost, jf), grid.slot(PHI, iface, jf)
+        sheath = dx_central_row(grid, sheath_field, iface, jf) + _select(
+            face_phi, N, sign * sheath_phi
+        )
+        blocks.append((RowKind.FACE_SHEATH, sheath_rows, sheath))
+        faces.append((sheath_rows // fold, face_phi // fold))
+
+    n = N // fold
     kinds = np.zeros(n, dtype=np.uint8)
-
-    src_rows, src_x, src_y = [], [], []
-    for j in range(grid.Ny):
-        for i in grid.plasma_cols(j):
-            r = grid.slot(PHI, i, j)
-            kinds[r // fold] = RowKind.EVOLUTION
-            row_dyy = dyy_row(grid, PHI, i, j)
-            acc.add(r, row_dyy, -1.0 / dt)
-            acc.add(r, dyyyy_row(grid, PHI, i, j), nu)
-            acc.add(r, dxx_row(grid, x_field, i, j), x_coef)
-            prev.add(r, row_dyy, -1.0 / dt)
-            src_rows.append(r)
-            src_x.append(grid.x(i))
-            src_y.append(grid.y(j))
-            if not ap:
-                continue
-
-            r = grid.slot(Q, i, j)
-            if i == grid.I1:
-                kinds[r] = RowKind.ANCHOR
-                acc.add(r, [(grid.slot(Q, grid.I1, j), 1.0)])
-            else:
-                kinds[r] = RowKind.COUPLING
-                acc.add(r, dxx_row(grid, PHI, i, j))
-                acc.add(r, dxx_row(grid, Q, i, j), -eta)
-
-    west_rows, west_phi, west_y = [], [], []
-    east_rows, east_phi, east_y = [], [], []
-    for j in grid.face_rows():
-        for iface, ghost, sign, rows, phis, ys in (
-            (grid.I1, grid.I1 - 1, -1.0, west_rows, west_phi, west_y),
-            (grid.I2, grid.I2 + 1, +1.0, east_rows, east_phi, east_y),
-        ):
-            if ap:
-                r = grid.slot(PHI, ghost, j)
-                kinds[r] = RowKind.FACE_FLUX_MATCH
-                acc.add(r, dx_central_row(grid, PHI, iface, j))
-                acc.add(r, dx_central_row(grid, Q, iface, j), -eta)
-
-            r = grid.slot(Q, ghost, j)
-            kinds[r // fold] = RowKind.FACE_SHEATH
-            acc.add(r, dx_central_row(grid, sheath_field, iface, j))
-            acc.add(r, [(grid.slot(PHI, iface, j), sign * sheath_phi)])
-            rows.append(r)
-            phis.append(grid.slot(PHI, iface, j))
-            ys.append(grid.y(j))
-
-    matrix = acc.to_csr(n)
+    for kind, rows, _ in blocks:
+        kinds[rows // fold] = kind
+    matrix = _place([(rows, op) for _, rows, op in blocks], n, fold)
     check_csr(matrix)
-
-    def index(slots):
-        return np.asarray(slots, dtype=np.intp) // fold
-
+    (west_rows, west_phi), (east_rows, east_phi) = faces
     return System(
         grid=grid,
         phys=phys,
@@ -236,16 +208,16 @@ def build_system(grid: Grid, phys: PhysConfig, disc: DiscConfig, scheme: str) ->
         scheme=scheme,
         matrix=matrix,
         row_kinds=kinds,
-        prev_op=prev.to_csr(n),
-        src_rows=index(src_rows),
-        src_x=np.asarray(src_x),
-        src_y=np.asarray(src_y),
-        west_rows=index(west_rows),
-        west_phi=index(west_phi),
-        west_y=np.asarray(west_y),
-        east_rows=index(east_rows),
-        east_phi=index(east_phi),
-        east_y=np.asarray(east_y),
+        prev_op=_place([(src_rows, prev)], n, fold),
+        src_rows=src_rows // fold,
+        src_x=grid.x(i),
+        src_y=grid.y(j),
+        west_rows=west_rows,
+        west_phi=west_phi,
+        west_y=grid.y(jf),
+        east_rows=east_rows,
+        east_phi=east_phi,
+        east_y=grid.y(jf),
     )
 
 
@@ -294,12 +266,7 @@ def micro_macro_deviation(grid: Grid, u: np.ndarray, eta: float) -> float:
     after a solve this is bounded by the solver residual; it is the cheap
     per-step diagnostic of the splitting.
     """
-    p = u[0::2] - eta * u[1::2]
-    # Nodes are enumerated row by row (ghosts included on face rows, the
-    # seam column once on band rows); a new row starts where y changes.
-    y = grid.node_coords()[1]
-    starts = np.flatnonzero(np.r_[True, y[1:] != y[:-1]])
-    return float(np.max(np.maximum.reduceat(p, starts) - np.minimum.reduceat(p, starts)))
+    return grid.row_spread(u[0::2] - eta * u[1::2], slice(None))
 
 
 def write_matrix_market(matrix: sps.spmatrix, path) -> None:

@@ -187,10 +187,10 @@ class Grid:
 
     # ---- coordinates -------------------------------------------------
 
-    def x(self, i: int) -> float:
+    def x(self, i):
         return self._x0 + i * self.dx
 
-    def y(self, j: int) -> float:
+    def y(self, j):
         return j * self.dy
 
     def face_rows(self) -> range:
@@ -208,67 +208,67 @@ class Grid:
             return range(self.I1, self.I2 + 1)
         return range(self.n_band_cols)
 
-    def column_extent(self, i: int) -> tuple[int, int]:
-        """(bottom row, top row) of the plasma column i."""
-        if self.mode == "strip" or self.I1 <= i <= self.I2:
-            return 0, self.Ny - 1
-        return self.j_l, self.Ny - 1
+    def column_extent(self, i):
+        """(bottom row, top row) of the plasma column i (scalar or array)."""
+        spans = (self.mode == "strip") | ((self.I1 <= i) & (i <= self.I2))
+        return np.where(spans, 0, self.j_l)[()], self.Ny - 1
 
-    def canonical_col(self, i: int, j: int) -> int:
+    def canonical_col(self, i, j):
         """Fold the periodic seam twin onto its stored column."""
-        if self.mode == "full" and j >= self.j_l:
-            return i % self.n_band_cols
+        if self.mode == "full":
+            return np.where(np.asarray(j) >= self.j_l, np.mod(i, self.n_band_cols), i)[()]
         return i
 
-    def x_neighbors(self, i: int, j: int) -> tuple[int, int]:
+    def x_neighbors(self, i, j):
         """Stored columns left/right of (i, j); periodic wrap on band rows."""
-        if self.mode == "full" and j >= self.j_l:
-            m = self.n_band_cols
-            return (i - 1) % m, (i + 1) % m
-        if not (self.I1 - 1 < i < self.I2 + 1):
+        i, j = np.broadcast_arrays(i, j)
+        band = (self.mode == "full") & (j >= self.j_l)
+        bad = ~band & ((i <= self.I1 - 1) | (i >= self.I2 + 1))
+        if bad.any():
+            k = np.argmax(bad)
             raise MissingNeighborError(
-                f"node (i={i}, j={j}) has no stored neighbor on both sides"
+                f"node (i={i.flat[k]}, j={j.flat[k]}) has no stored neighbor on both sides"
             )
-        return i - 1, i + 1
+        return self.canonical_col(i - 1, j), self.canonical_col(i + 1, j)
 
     # ---- index layout ------------------------------------------------
 
     def _build_index(self):
-        nodes = []
-        ghosts = []
-        for j in range(self.Ny):
-            if self.row_has_ghosts(j):
-                cols = range(self.I1 - 1, self.I2 + 2)
-            else:
-                cols = self.plasma_cols(j)
-            for i in cols:
-                nodes.append((i, j))
-                if self.row_has_ghosts(j) and (i == self.I1 - 1 or i == self.I2 + 1):
-                    ghosts.append((i, j))
-        self.phi_nodes = nodes
-        self._ordinal = {node: k for k, node in enumerate(nodes)}
-        self.n_phi = len(nodes) - len(ghosts)
-        self.n_q = self.n_phi
-        self.n_ghost = 2 * len(ghosts)  # one phi and one q unknown per ghost node
-        self.N = 2 * len(nodes)
-
-        ghost_set = set(ghosts)
-        self._ghost_nodes = ghost_set
-        self._plasma_ordinals = np.array(
-            [k for k, node in enumerate(nodes) if node not in ghost_set], dtype=np.intp
+        # Ordinal table over rows j and columns i = -1 .. max(I2 + 1, ncols)
+        # (table column i + 1), -1 where no node is stored.  Face rows store
+        # I1 - 1 .. I2 + 1 (ghosts included), band rows 0 .. ncols - 1.
+        cols = np.arange(-1, max(self.I2 + 1, self.n_band_cols) + 1)
+        face = np.arange(self.Ny) < self.face_rows().stop
+        stored = np.where(
+            face[:, None],
+            (self.I1 - 1 <= cols) & (cols <= self.I2 + 1),
+            (0 <= cols) & (cols < self.n_band_cols),
         )
-        self._x_arr = np.array([self.x(i) for i, _ in nodes])
-        self._y_arr = np.array([self.y(j) for _, j in nodes])
-        self._quad_weights = self._compute_quad_weights()
+        plasma = stored & ~(face[:, None] & ((cols == self.I1 - 1) | (cols == self.I2 + 1)))
+        jj, cc = np.nonzero(stored)  # row-major: the enumeration order
+        self._table = np.full(stored.shape, -1, dtype=np.intp)
+        self._table[jj, cc] = np.arange(len(jj))
+        self.phi_nodes = np.column_stack([cols[cc], jj])
+        self._plasma_ordinals = np.flatnonzero(plasma[jj, cc])
+        self.n_phi = len(self._plasma_ordinals)
+        self.n_q = self.n_phi
+        self.n_ghost = 2 * (len(jj) - self.n_phi)  # one phi and one q unknown per ghost node
+        self.N = 2 * len(jj)
+        self._x_arr = self.x(self.phi_nodes[:, 0])
+        self._y_arr = self.y(self.phi_nodes[:, 1])
+        self._quad_weights = self._compute_quad_weights(plasma[:, 1:])
 
-    def ordinal(self, i: int, j: int) -> int:
+    def ordinal(self, i, j):
         """Position of node (i, j) in the phi enumeration (ghosts included)."""
-        try:
-            return self._ordinal[(self.canonical_col(i, j), j)]
-        except KeyError:
-            raise OutOfDomainError(f"(i={i}, j={j}) is not a stored node") from None
+        i, j = np.broadcast_arrays(self.canonical_col(i, j) + 1, j)
+        inside = (0 <= j) & (j < self.Ny) & (0 <= i) & (i < self._table.shape[1])
+        k = np.where(inside, self._table[j * inside, i * inside], -1)  # 0 * index is in range
+        if (k < 0).any():
+            bad = np.argmax(k < 0)
+            raise OutOfDomainError(f"(i={i.flat[bad] - 1}, j={j.flat[bad]}) is not a stored node")
+        return k[()]
 
-    def slot(self, field: int, i: int, j: int) -> int:
+    def slot(self, field: int, i, j):
         """Flat unknown index of the coupled (phi, q) layout."""
         return 2 * self.ordinal(i, j) + field
 
@@ -285,6 +285,17 @@ class Grid:
     def plasma_ordinals(self) -> np.ndarray:
         """Ordinals of the plasma (non-ghost) nodes, in enumeration order."""
         return self._plasma_ordinals
+
+    def row_spread(self, values: np.ndarray, nodes) -> float:
+        """Max over grid rows of max - min of ``values`` at the ordinals ``nodes``.
+
+        ``values`` is aligned with the node enumeration; ``nodes`` selects
+        ordinals in enumeration order, so each row's nodes are contiguous.
+        """
+        v = values[nodes]
+        j = self.phi_nodes[nodes, 1]
+        starts = np.flatnonzero(np.r_[True, j[1:] != j[:-1]])
+        return float(np.max(np.maximum.reduceat(v, starts) - np.minimum.reduceat(v, starts)))
 
     # ---- classification ----------------------------------------------
 
@@ -343,36 +354,25 @@ class Grid:
 
     # ---- quadrature --------------------------------------------------
 
-    def _compute_quad_weights(self) -> np.ndarray:
+    def _compute_quad_weights(self, plasma: np.ndarray) -> np.ndarray:
         """Trapezoidal node weights: (plasma cells adjacent to the node) / 4.
 
-        Ghost nodes get weight zero.  On band rows the wrap supplies the
-        cells across the seam, so every physical cell is counted once.
+        ``plasma`` marks the plasma nodes by row and column i >= 0.  A cell
+        exists where its four corners are plasma.  In full mode the columns
+        are cut to 0 .. ncols - 1, so the roll in x supplies the cells across
+        the seam on band rows; in strip mode the east ghost column, never
+        plasma, keeps the roll from wrapping.  Ghost nodes get weight zero.
         """
-        cells = set()
-        for j in range(self.Ny - 1):
-            below = set(self.plasma_cols(j))
-            above = set(self.plasma_cols(j + 1))
-            band_row = self.mode == "full" and j >= self.j_l
-            for i in self.plasma_cols(j):
-                right = (i + 1) % self.n_band_cols if band_row else i + 1
-                if i in below and right in below and i in above and right in above:
-                    cells.add((i, j))
-
+        if self.mode == "full":
+            plasma = plasma[:, : self.n_band_cols]
+        corners = plasma[:-1] & plasma[1:]
+        cells = corners & np.roll(corners, -1, axis=1)
+        cells = np.pad(cells, ((1, 1), (0, 0))).astype(int)
+        count = cells[:-1] + cells[1:]
+        count += np.roll(count, 1, axis=1)
+        i, j = self.phi_nodes[self._plasma_ordinals].T
         w = np.zeros(len(self.phi_nodes))
-        for (i, j), k in self._ordinal.items():
-            if self.row_has_ghosts(j) and (i == self.I1 - 1 or i == self.I2 + 1):
-                continue
-            count = 0
-            for jc in (j - 1, j):
-                if not 0 <= jc <= self.Ny - 2:
-                    continue
-                band_row = self.mode == "full" and jc >= self.j_l
-                ics = [i, (i - 1) % self.n_band_cols if band_row else i - 1]
-                for ic in ics:
-                    if (ic, jc) in cells:
-                        count += 1
-            w[k] = count / 4.0
+        w[self._plasma_ordinals] = count[j, i] / 4.0
         return w
 
     @property

@@ -1,103 +1,86 @@
 """Finite-difference rows with analytic elimination of y-direction ghosts.
 
-All operators are centred and second-order.  On the field-line boundaries
-(y = 0, y = 1, and y = l above the limiter) the conditions d_y phi = 0 and
-d_y^3 phi = 0 close the stencils: the first, centred, gives the mirror
-phi[-1] = phi[1]; combining it with the centred four-point third difference
+All operators are centred and second-order.  Each function takes node
+arrays ``(i, j)`` (or one node) and returns a ``csr_matrix`` with one row
+per node and ``grid.N`` columns, the unknowns of ``field``.
+
+On the field-line boundaries (y = 0, y = 1, and y = l above the limiter)
+the conditions d_y phi = 0 and d_y^3 phi = 0 close the stencils: the
+first, centred, gives the mirror phi[-1] = phi[1]; combining it with the
+centred four-point third difference
 (phi[2] - 2 phi[1] + 2 phi[-1] - phi[-2]) / (2 dy^3) = 0 gives
-phi[-2] = phi[2].  Folding both mirrors into the interior stencils yields
+phi[-2] = phi[2].  So a column with rows jb .. jt is closed by reflecting
+every target row of the interior stencils (1, -2, 1) and (1, -4, 6, -4, 1)
+into it, j -> 2 jb - j below and j -> 2 jt - j above.  The folded wall
+rows follow:
 
     d''   at the wall: (-2, 2) / dy^2
     d'''' at the wall: (6, -8, 2) / dy^4,  one row in: (-4, 7, -4, 1) / dy^4
 
-and their mirror images at the top.
+and their mirror images at the top.  The integer weights are summed
+before the scaling by 1/dy^2 or 1/dy^4.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import numpy as np
+import scipy.sparse as sps
 
 from .errors import GridTooCoarseError
 from .geometry import Grid
 
 
-@dataclass(frozen=True)
-class StencilRow:
-    """Sparse row: (unknown index, coefficient) pairs, index-sorted, merged."""
-
-    entries: tuple[tuple[int, float], ...]
-
-    def apply(self, u) -> float:
-        return sum(c * u[k] for k, c in self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
+def _rows(grid: Grid, field: int, cols_i, cols_j, weights, scale: float) -> sps.csr_matrix:
+    """Row r = scale * sum_t weights[t] u[slot(field, cols_i[t][r], cols_j[t][r])]."""
+    cols = grid.slot(field, np.stack(cols_i), np.stack(cols_j))
+    w = np.broadcast_to(np.asarray(weights, dtype=float)[:, None], cols.shape)
+    rows = np.broadcast_to(np.arange(cols.shape[1]), cols.shape)
+    m = sps.csr_matrix((w.ravel(), (rows.ravel(), cols.ravel())), shape=(cols.shape[1], grid.N))
+    m.sum_duplicates()
+    return m * scale
 
 
-def _make_row(pairs) -> StencilRow:
-    acc: dict[int, float] = {}
-    for k, c in pairs:
-        acc[k] = acc.get(k, 0.0) + c
-    return StencilRow(tuple(sorted(acc.items())))
+def _nodes(i, j):
+    return np.broadcast_arrays(*np.atleast_1d(i, j))
 
 
-def dx_central_row(grid: Grid, field: int, i: int, j: int) -> StencilRow:
+def dx_central_row(grid: Grid, field: int, i, j) -> sps.csr_matrix:
     """First x-derivative, centred: (-1, +1) / (2 dx) at (i-1, i+1)."""
+    i, j = _nodes(i, j)
     left, right = grid.x_neighbors(i, j)
-    h = 1.0 / (2.0 * grid.dx)
-    return _make_row([(grid.slot(field, left, j), -h), (grid.slot(field, right, j), h)])
+    return _rows(grid, field, (left, right), (j, j), (-1.0, 1.0), 1.0 / (2.0 * grid.dx))
 
 
-def dxx_row(grid: Grid, field: int, i: int, j: int) -> StencilRow:
+def dxx_row(grid: Grid, field: int, i, j) -> sps.csr_matrix:
     """Second x-derivative, centred: (1, -2, 1) / dx^2; periodic wrap on band rows."""
+    i, j = _nodes(i, j)
     left, right = grid.x_neighbors(i, j)
-    c = 1.0 / grid.dx**2
-    return _make_row(
-        [
-            (grid.slot(field, left, j), c),
-            (grid.slot(field, i, j), -2.0 * c),
-            (grid.slot(field, right, j), c),
-        ]
-    )
+    return _rows(grid, field, (left, i, right), (j, j, j), (1.0, -2.0, 1.0), 1.0 / grid.dx**2)
 
 
-def _dyy_offsets(j: int, jb: int, jt: int) -> list[tuple[int, float]]:
-    if j == jb:
-        return [(0, -2.0), (1, 2.0)]
-    if j == jt:
-        return [(-1, 2.0), (0, -2.0)]
-    return [(-1, 1.0), (0, -2.0), (1, 1.0)]
+def _reflected(grid: Grid, field: int, i, j, weights, scale: float) -> sps.csr_matrix:
+    """Centred y-stencil ``weights`` with targets outside the column mirrored into it."""
+    jb, jt = grid.column_extent(i)
+    half = len(weights) // 2
+    targets = [j + d for d in range(-half, half + 1)]
+    targets = [np.where(t < jb, 2 * jb - t, np.where(t > jt, 2 * jt - t, t)) for t in targets]
+    return _rows(grid, field, [i] * len(weights), targets, weights, scale)
 
 
-def _dyyyy_offsets(j: int, jb: int, jt: int) -> list[tuple[int, float]]:
-    if j == jb:
-        return [(0, 6.0), (1, -8.0), (2, 2.0)]
-    if j == jb + 1:
-        return [(-1, -4.0), (0, 7.0), (1, -4.0), (2, 1.0)]
-    if j == jt:
-        return [(-2, 2.0), (-1, -8.0), (0, 6.0)]
-    if j == jt - 1:
-        return [(-2, 1.0), (-1, -4.0), (0, 7.0), (1, -4.0)]
-    return [(-2, 1.0), (-1, -4.0), (0, 6.0), (1, -4.0), (2, 1.0)]
-
-
-def dyy_row(grid: Grid, field: int, i: int, j: int) -> StencilRow:
+def dyy_row(grid: Grid, field: int, i, j) -> sps.csr_matrix:
     """Second y-derivative with the mirror closure on the field-line walls."""
-    jb, jt = grid.column_extent(i)
-    c = 1.0 / grid.dy**2
-    return _make_row(
-        [(grid.slot(field, i, j + dj), w * c) for dj, w in _dyy_offsets(j, jb, jt)]
-    )
+    i, j = _nodes(i, j)
+    return _reflected(grid, field, i, j, (1.0, -2.0, 1.0), 1.0 / grid.dy**2)
 
 
-def dyyyy_row(grid: Grid, field: int, i: int, j: int) -> StencilRow:
+def dyyyy_row(grid: Grid, field: int, i, j) -> sps.csr_matrix:
     """Fourth y-derivative with the two-ghost mirror closure on the walls."""
+    i, j = _nodes(i, j)
     jb, jt = grid.column_extent(i)
-    if jt - jb + 1 < 5:
+    n_rows = jt - jb + 1
+    if (n_rows < 5).any():
+        k = np.argmax(n_rows < 5)
         raise GridTooCoarseError(
-            f"column i={i} has {jt - jb + 1} rows; the fourth difference needs 5"
+            f"column i={i[k]} has {n_rows[k]} rows; the fourth difference needs 5"
         )
-    c = 1.0 / grid.dy**4
-    return _make_row(
-        [(grid.slot(field, i, j + dj), w * c) for dj, w in _dyyyy_offsets(j, jb, jt)]
-    )
+    return _reflected(grid, field, i, j, (1.0, -4.0, 6.0, -4.0, 1.0), 1.0 / grid.dy**4)

@@ -70,15 +70,12 @@ def init_state(
 
 def _warn_if_x_dependent(grid: Grid, phi0: np.ndarray) -> None:
     scale = max(1.0, float(np.abs(phi0).max()))
-    for j in range(grid.Ny):
-        vals = [phi0[grid.ordinal(i, j)] for i in grid.plasma_cols(j)]
-        if max(vals) - min(vals) > _X_CONST_TOL * scale:
-            warnings.warn(
-                "initial data varies along x; the model only constrains "
-                "d_y phi at t = 0 and assumes x-independent initial data",
-                stacklevel=3,
-            )
-            return
+    if grid.row_spread(phi0, grid.plasma_ordinals) > _X_CONST_TOL * scale:
+        warnings.warn(
+            "initial data varies along x; the model only constrains "
+            "d_y phi at t = 0 and assumes x-independent initial data",
+            stacklevel=3,
+        )
 
 
 def step(

@@ -144,11 +144,13 @@ class CondStudy:
 # ---- study drivers ---------------------------------------------------
 
 
-def _mms_bundle(variant: str, eta: float, nu: float, lambda_ref: float) -> ManufacturedSolution:
+def _mms_bundle(
+    variant: str, eta: float, nu: float, lambda_ref: float, L: float
+) -> ManufacturedSolution:
     if variant == "eq3_corrected":
         return corrected_mms(eta, nu, lambda_ref)
     if variant == "smooth":
-        return smooth_mms(eta, nu, lambda_ref)
+        return smooth_mms(eta, nu, lambda_ref, L)
     raise ValueError(f"no runnable manufactured solution named {variant!r}")
 
 
@@ -163,7 +165,7 @@ def run_mms_convergence(
     variant: str = "eq3_corrected",
 ) -> ConvergenceStudy:
     """L2 error at t = T against the manufactured solution, per mesh step."""
-    ms0 = _mms_bundle(variant, eta, nu, lambda_ref)
+    ms0 = _mms_bundle(variant, eta, nu, lambda_ref, L)
     rows = []
     for d in sorted(deltas, reverse=True):
         phys = PhysConfig(eta=eta, nu=nu, lambda_ref=lambda_ref, L=L, t_end=t_end)

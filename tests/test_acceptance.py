@@ -166,9 +166,8 @@ def test_criterion_7_oracle_suites():
     scale = grid.dy**4
     stencil_ok = True
     for j0 in (0, 1):
-        row = {
-            grid.locate(k)[2]: c * scale for k, c in dyyyy_row(grid, PHI, 3, j0)
-        }
+        r = dyyyy_row(grid, PHI, 3, j0)
+        row = {grid.locate(k)[2]: c * scale for k, c in zip(r.indices, r.data)}
         stencil_ok &= row == pytest.approx(fold(j0))
 
     # (b) closed-form source vs high-precision FD application of the operator

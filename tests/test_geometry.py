@@ -1,5 +1,6 @@
 import pytest
 
+from edgepot.assembly import build_system, check_csr
 from edgepot.errors import ConfigError, OutOfDomainError
 from edgepot.geometry import (
     DiscConfig,
@@ -120,6 +121,29 @@ def test_full_mode_excludes_limiter_interior():
         i, j = grid.phi_nodes[k]
         x, y = grid.x(i), grid.y(j)
         assert not (abs(x) > grid.L + 1e-12 and y < l - 1e-12)
+
+
+def test_full_mode_east_ghost_column_is_the_seam_index():
+    # I1 = 1: the east ghost column I2 + 1 equals n_band_cols, which folds
+    # onto the seam column 0 on band rows
+    phys = PhysConfig(eta=1e-3, L=0.4, limiter_height=0.5)
+    disc = DiscConfig(dx=0.1, dy=0.1, dt=1e-3, mode="full")
+    grid = build_grid(phys, disc)
+    assert grid.I1 == 1 and grid.I2 + 1 == grid.n_band_cols
+    for k in range(grid.N):
+        f, i, j = grid.locate(k)
+        assert grid.slot(f, i, j) == k
+    for j in range(grid.Ny):
+        k = grid.ordinal(grid.n_band_cols, j)
+        if j < grid.j_l:
+            assert tuple(grid.phi_nodes[k]) == (grid.n_band_cols, j)
+            assert classify_node(grid, grid.n_band_cols, j).primary is NodeClass.GHOST_EAST
+        else:
+            assert k == grid.ordinal(0, j)
+    area = 2 * grid.L + (1 - 2 * grid.L) * (1 - grid.limiter_height)
+    assert grid.quad_weights.sum() * grid.dx * grid.dy == pytest.approx(area)
+    for scheme in ("ap", "naive"):
+        check_csr(build_system(grid, phys, disc, scheme).matrix)
 
 
 def test_seam_column_identified_once():

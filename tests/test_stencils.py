@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sps
 
 from edgepot.errors import MissingNeighborError
 from edgepot.geometry import PHI, Q, DiscConfig, PhysConfig, build_grid
@@ -21,7 +22,7 @@ def full_grid(dx=0.05, dy=0.05, l=0.5):
 
 def coeffs(grid, row):
     """Map slot -> coefficient for readable assertions."""
-    return {grid.locate(k): c for k, c in row}
+    return {grid.locate(k): c for k, c in zip(row.indices, row.data)}
 
 
 # ---- first and second x-differences ------------------------------------
@@ -46,7 +47,7 @@ def test_dx_central_at_face_references_ghost():
 def test_dx_central_annihilates_x_constants():
     grid = strip_grid()
     u = np.ones(grid.N)
-    assert dx_central_row(grid, PHI, 2, 3).apply(u) == 0.0
+    assert dx_central_row(grid, PHI, 2, 3) @ u == 0.0
 
 
 def test_dx_missing_neighbor_on_ghost():
@@ -73,7 +74,7 @@ def test_dxx_exact_on_quadratics():
         f, i, j = grid.locate(k)
         if f == PHI:
             u[k] = grid.x(i) ** 2
-    assert dxx_row(grid, PHI, 5, 3).apply(u) == pytest.approx(2.0, abs=1e-10)
+    assert dxx_row(grid, PHI, 5, 3) @ u == pytest.approx(2.0, abs=1e-10)
 
 
 def test_dxx_periodic_wrap_converges_on_band():
@@ -87,8 +88,38 @@ def test_dxx_periodic_wrap_converges_on_band():
             u[grid.slot(PHI, i, j)] = np.cos(2 * np.pi * grid.x(i))
         row = dxx_row(grid, PHI, 0, j)  # the seam column wraps
         exact = -4 * np.pi**2 * np.cos(2 * np.pi * grid.x(0))
-        errs.append(abs(row.apply(u) - exact))
+        errs.append(abs(row @ u - exact))
     assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.15)
+
+
+def _stencil_nodes(grid):
+    """Every plasma node, plus the seam twin x = +0.5 on the band rows."""
+    i, j = grid.phi_nodes[grid.plasma_ordinals].T
+    if grid.mode == "full":
+        band = np.arange(grid.j_l, grid.Ny)
+        i = np.r_[i, np.full(len(band), grid.n_band_cols)]
+        j = np.r_[j, band]
+    return i, j
+
+
+@pytest.mark.parametrize("grid_kind", ["strip", "full", "full_I1_is_1"])
+@pytest.mark.parametrize("field", [PHI, Q])
+@pytest.mark.parametrize("fn", [dx_central_row, dxx_row, dyy_row, dyyyy_row])
+def test_array_call_matches_single_node_calls(grid_kind, field, fn):
+    grid = {
+        "strip": strip_grid,
+        "full": full_grid,
+        "full_I1_is_1": lambda: full_grid(dx=0.1, dy=0.1),
+    }[grid_kind]()
+    i, j = _stencil_nodes(grid)
+    if grid.mode == "full":
+        # band rows, seam column 0 and its twin, a column above the limiter only
+        assert (j >= grid.j_l).any() and (i == 0).any() and (i == grid.n_band_cols).any()
+        assert (i == grid.I1 - 1).any()
+    stacked = sps.vstack([fn(grid, field, a, b) for a, b in zip(i, j)]).tocsr()
+    together = fn(grid, field, i, j)
+    assert together.shape == (len(i), grid.N)
+    assert np.array_equal(together.toarray(), stacked.toarray())
 
 
 # ---- y-differences with wall closures -----------------------------------
@@ -116,7 +147,7 @@ def test_dyy_annihilates_constants():
     grid = strip_grid()
     u = np.ones(grid.N)
     for j in (0, 1, 5, grid.Ny - 1):
-        assert dyy_row(grid, PHI, 3, j).apply(u) == 0.0
+        assert dyy_row(grid, PHI, 3, j) @ u == 0.0
 
 
 def test_dyyyy_coefficients():
@@ -177,7 +208,7 @@ def test_dyyyy_against_cosine_derivative():
         for jj in range(grid.Ny):
             u[grid.slot(PHI, 3, jj)] = np.cos(np.pi * grid.y(jj))
         exact = np.pi**4 * np.cos(np.pi * grid.y(j))
-        errs.append(abs(dyyyy_row(grid, PHI, 3, j).apply(u) - exact))
+        errs.append(abs(dyyyy_row(grid, PHI, 3, j) @ u - exact))
     assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.2)
 
 
@@ -193,7 +224,7 @@ def test_wall_rows_second_order_on_even_fields(k):
         worst = 0.0
         for j in (0, 1, grid.Ny - 2, grid.Ny - 1):
             exact = (k * np.pi) ** 4 * np.cos(k * np.pi * grid.y(j))
-            worst = max(worst, abs(dyyyy_row(grid, PHI, 3, j).apply(u) - exact))
+            worst = max(worst, abs(dyyyy_row(grid, PHI, 3, j) @ u - exact))
         errs.append(worst)
     assert errs[0] / errs[1] > 3.0  # order ~2 between the two refinements
 
@@ -210,8 +241,8 @@ def test_rows_are_linear():
         dyy_row(grid, PHI, 4, 0),
         dyyyy_row(grid, PHI, 4, 1),
     ):
-        assert row.apply(a * f + b * g) == pytest.approx(
-            a * row.apply(f) + b * row.apply(g), rel=1e-12, abs=1e-12
+        assert row @ (a * f + b * g) == pytest.approx(
+            a * (row @ f) + b * (row @ g), rel=1e-12, abs=1e-12
         )
 
 

@@ -112,6 +112,14 @@ def test_mms_convergence_smooth_variant():
     assert study.order == pytest.approx(2.0, abs=0.4)
 
 
+def test_mms_convergence_smooth_variant_follows_L():
+    # the manufactured sheath data sits on the grid's faces x = +-L, not +-0.4
+    study = run_mms_convergence(
+        [0.1, 0.05, 0.025], dt=1e-3, eta=1e-2, L=0.3, t_end=0.2, variant="smooth"
+    )
+    assert study.order >= 1.85
+
+
 def test_mms_convergence_exposes_dt_floor():
     # coarse dt: halving dx leaves the error nearly unchanged
     study = run_mms_convergence([0.1, 0.05], dt=0.05, t_end=0.25)
