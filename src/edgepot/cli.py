@@ -14,12 +14,12 @@ import argparse
 import sys
 from dataclasses import dataclass, fields as dc_fields
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from . import verification
-from .assembly import Forcing, build_system, write_matrix_market
+from .assembly import build_system, write_matrix_market
 from .errors import (
     ConfigError,
     EdgepotError,
@@ -31,33 +31,37 @@ from .errors import (
     UnknownKeyError,
 )
 from .geometry import DiscConfig, PhysConfig, build_grid, validate_config
-from .manufactured import (
-    ManufacturedSolution,
-    corrected_mms,
-    eq4_source,
-    literal_mms,
-    smooth_mms,
-)
+from .manufactured import SOURCES, sheath_residuals
 from .timeloop import State, run
 from .verification import l2_norm, validate_compatibility
 
-SOURCES = ("eq3_mms", "eq3_literal", "eq4", "smooth_mms", "zero")
 SCHEMES = ("ap", "naive")
 
-_DEFAULTS = {
-    "eta": 1e-3,
-    "nu": 1.0,
-    "lambda": 0.0,
-    "L": 0.4,
-    "l": 1.0,
-    "T": 1.0,
-    "dx": 0.0125,
-    "dy": 0.0125,
-    "dt": 1e-3,
-    "mode": "strip",
-    "scheme": "ap",
-    "source": "eq3_mms",
-    "outdir": ".",
+
+class _Key(NamedTuple):
+    """Where a configuration key lands: ``RunSpec.<owner>.<field>``, or
+    ``RunSpec.<field>`` when owner is None."""
+
+    owner: Optional[str]
+    field: str
+    default: object
+    parse: Callable[[str], object] = float
+
+
+KEYS = {
+    "eta": _Key("phys", "eta", 1e-3),
+    "nu": _Key("phys", "nu", 1.0),
+    "lambda": _Key("phys", "lambda_ref", 0.0),
+    "L": _Key("phys", "L", 0.4),
+    "l": _Key("phys", "limiter_height", 1.0),
+    "T": _Key("phys", "t_end", 1.0),
+    "dx": _Key("disc", "dx", 0.0125),
+    "dy": _Key("disc", "dy", 0.0125),
+    "dt": _Key("disc", "dt", 1e-3),
+    "mode": _Key("disc", "mode", "strip", str),
+    "scheme": _Key(None, "scheme", "ap", str),
+    "source": _Key(None, "source", "eq3_mms", str),
+    "outdir": _Key(None, "outdir", Path("."), Path),
 }
 
 
@@ -70,18 +74,18 @@ class RunSpec:
     outdir: Path
 
 
-def _parse_value(key: str, raw: str, line_no: Optional[int]):
-    if key in ("mode", "scheme", "source", "outdir"):
-        return raw
-    try:
-        return float(raw)
-    except ValueError:
-        raise ParseError(f"cannot parse value {raw!r} for key {key!r}", line_no) from None
-
-
 def parse_config(path: Optional[str] = None, overrides: Optional[dict] = None) -> RunSpec:
     """Build a RunSpec from an optional file plus flag overrides."""
-    values = dict(_DEFAULTS)
+    values = {key: k.default for key, k in KEYS.items()}
+
+    def assign(key: str, raw: str, line_no: Optional[int] = None) -> None:
+        if key not in KEYS:
+            raise UnknownKeyError(f"unknown key {key!r}", line_no)
+        try:
+            values[key] = KEYS[key].parse(raw)
+        except ValueError:
+            raise ParseError(f"cannot parse value {raw!r} for key {key!r}", line_no) from None
+
     if path is not None:
         text = Path(path).read_text()
         for line_no, line in enumerate(text.splitlines(), start=1):
@@ -95,73 +99,37 @@ def parse_config(path: Optional[str] = None, overrides: Optional[dict] = None) -
                 if "=" not in token:
                     raise ParseError(f"expected key=value, got {token!r}", line_no)
                 key, raw = (part.strip() for part in token.split("=", 1))
-                if key not in values:
-                    raise UnknownKeyError(f"unknown key {key!r}", line_no)
-                values[key] = _parse_value(key, raw, line_no)
+                assign(key, raw, line_no)
     for key, val in (overrides or {}).items():
-        if val is None:
-            continue
-        if key not in values:
-            raise UnknownKeyError(f"unknown key {key!r}")
-        values[key] = _parse_value(key, str(val), None)
+        if val is not None:
+            assign(key, str(val))
 
     if values["scheme"] not in SCHEMES:
         raise ConfigError([f"InvalidScheme: {values['scheme']!r} not in {SCHEMES}"])
     if values["source"] not in SOURCES:
-        raise ConfigError([f"InvalidSource: {values['source']!r} not in {SOURCES}"])
+        raise ConfigError([f"InvalidSource: {values['source']!r} not in {tuple(SOURCES)}"])
 
-    phys = PhysConfig(
-        eta=values["eta"],
-        nu=values["nu"],
-        lambda_ref=values["lambda"],
-        L=values["L"],
-        limiter_height=values["l"],
-        t_end=values["T"],
-    )
-    disc = DiscConfig(dx=values["dx"], dy=values["dy"], dt=values["dt"], mode=values["mode"])
+    kwargs = {"phys": {}, "disc": {}, None: {}}
+    for key, k in KEYS.items():
+        kwargs[k.owner][k.field] = values[key]
+    phys = PhysConfig(**kwargs["phys"])
+    disc = DiscConfig(**kwargs["disc"])
     validate_config(phys, disc)
-    return RunSpec(
-        scheme=values["scheme"],
-        phys=phys,
-        disc=disc,
-        source=values["source"],
-        outdir=Path(values["outdir"]),
-    )
+    return RunSpec(phys=phys, disc=disc, **kwargs[None])
 
 
 def spec_echo(spec: RunSpec) -> str:
-    """One-line key=value echo of the resolved configuration."""
-    p, d = spec.phys, spec.disc
+    """One-line key=value echo of the resolved configuration.
+
+    The output directory is left out: the echo is written into it.
+    """
     pairs = [
-        ("eta", p.eta), ("nu", p.nu), ("lambda", p.lambda_ref), ("L", p.L),
-        ("l", p.limiter_height), ("T", p.t_end), ("dx", d.dx), ("dy", d.dy),
-        ("dt", d.dt), ("mode", d.mode), ("scheme", spec.scheme),
-        ("source", spec.source),
+        (key, getattr(spec if k.owner is None else getattr(spec, k.owner), k.field))
+        for key, k in KEYS.items()
+        if key != "outdir"
     ]
     return " ".join(
         f"{k}={float(v)!r}" if isinstance(v, float) else f"{k}={v}" for k, v in pairs
-    )
-
-
-def _resolve_source(spec: RunSpec):
-    """(forcing, phi_ini, exact bundle or None) for the selected source."""
-    p = spec.phys
-    if spec.source == "eq3_mms":
-        ms = corrected_mms(p.eta, p.nu, p.lambda_ref)
-        return ms.forcing, ms.phi_ini, ms
-    if spec.source == "smooth_mms":
-        ms = smooth_mms(p.eta, p.nu, p.lambda_ref, L=p.L)
-        return ms.forcing, ms.phi_ini, ms
-    if spec.source == "eq4":
-        forcing = Forcing(volume=lambda t, x, y: eq4_source(t, x, y, p.L))
-        return forcing, lambda x, y: np.zeros_like(np.asarray(x, dtype=float)), None
-    if spec.source == "zero":
-        ini = lambda x, y: np.full_like(np.asarray(x, dtype=float), p.lambda_ref)
-        return Forcing(), ini, None
-    # eq3_literal: documented-inconsistent, no source term to integrate with
-    raise ConfigError(
-        ["InvalidSource: eq3_literal violates the sheath conditions and has no "
-         "source term; it is available to 'validate' only"]
     )
 
 
@@ -226,17 +194,22 @@ def _write_config_echo(spec: RunSpec, path: Path, extra: str = "") -> None:
 
 
 def _cmd_run(spec: RunSpec, args) -> int:
-    forcing, phi_ini, ms = _resolve_source(spec)
+    ms = SOURCES[spec.source](spec.phys)
+    if ms.forcing is None:
+        raise ConfigError(
+            [f"InvalidSource: {spec.source} violates the sheath conditions and has no "
+             "source term; it is available to 'validate' only"]
+        )
     grid = build_grid(spec.phys, spec.disc)
     if args.dump_matrix:
         system = build_system(grid, spec.phys, spec.disc, spec.scheme)
         write_matrix_market(system.matrix, args.dump_matrix)
-    final = run(grid, spec.phys, spec.disc, forcing, phi_ini, scheme=spec.scheme)
+    final = run(grid, spec.phys, spec.disc, ms.forcing, ms.phi_ini, scheme=spec.scheme)
     print(f"steps={final.n} t={final.t!r}")
     print(f"phi: l2={l2_norm(grid, final.phi)!r} max={float(np.abs(final.phi).max())!r}")
     if final.q is not None:
         print(f"q:   l2={l2_norm(grid, final.q)!r} max={float(np.abs(final.q).max())!r}")
-    if ms is not None:
+    if ms.phi is not None:
         x, y = grid.node_coords()
         err = l2_norm(grid, final.phi - ms.phi(final.t, x, y))
         print(f"error vs exact: l2={err!r}")
@@ -251,8 +224,11 @@ def _parse_float_list(raw: str) -> list[float]:
 
 
 def _cmd_mms_convergence(spec: RunSpec, args) -> int:
+    if spec.disc.mode != "strip":
+        raise ConfigError(
+            [f"InvalidMode: mms-convergence runs on the strip, got mode {spec.disc.mode!r}"]
+        )
     deltas = _parse_float_list(args.grids)
-    variant = "smooth" if spec.source == "smooth_mms" else "eq3_corrected"
     study = verification.run_mms_convergence(
         deltas,
         dt=spec.disc.dt,
@@ -261,7 +237,7 @@ def _cmd_mms_convergence(spec: RunSpec, args) -> int:
         lambda_ref=spec.phys.lambda_ref,
         L=spec.phys.L,
         t_end=spec.phys.t_end,
-        variant=variant,
+        source=spec.source,
     )
     spec.outdir.mkdir(parents=True, exist_ok=True)
     out = spec.outdir / "mms_convergence.csv"
@@ -317,33 +293,17 @@ def _cmd_condition_study(spec: RunSpec, args) -> int:
 
 
 def _cmd_validate(spec: RunSpec, args) -> int:
-    validate_config(spec.phys, spec.disc)
     build_grid(spec.phys, spec.disc)
     print("config ok:", spec_echo(spec))
     p = spec.phys
-    ms: Optional[ManufacturedSolution] = None
-    if spec.source == "eq3_mms":
-        ms = corrected_mms(p.eta, p.nu, p.lambda_ref)
-    elif spec.source == "eq3_literal":
-        ms = literal_mms(p.eta, p.lambda_ref)
-    elif spec.source == "smooth_mms":
-        ms = smooth_mms(p.eta, p.nu, p.lambda_ref, L=p.L)
-    if ms is not None:
-        from .manufactured import sheath_residuals
-
+    ms = SOURCES[spec.source](p)
+    if ms.phi is not None:
         times = np.linspace(0.1, min(1.0, p.t_end), 7)
-        ys = (
-            np.linspace(0.0, 0.35, 8)
-            if spec.source == "eq3_literal"
-            else np.linspace(0.0, 1.0, 21)
-        )
+        ys = np.linspace(0.0, ms.y_max, round(ms.y_max / 0.05) + 1)
         rw, re = sheath_residuals(ms, p.lambda_ref, p.L, times, ys)
-        print(f"sheath residuals ({ms.variant}): west={rw!r} east={re!r}")
-    forcing, phi_ini, _ = (
-        _resolve_source(spec) if spec.source != "eq3_literal" else (None, ms.phi_ini, None)
-    )
+        print(f"sheath residuals ({spec.source}): west={rw!r} east={re!r}")
     report = validate_compatibility(
-        p, phi_ini, None if forcing is None else forcing.volume
+        p, ms.phi_ini, None if ms.forcing is None else ms.forcing.volume
     )
     status = "ok" if report.ok else "WARNING"
     print(
@@ -363,7 +323,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     def add_common(sp):
         sp.add_argument("--config", help="flat key=value configuration file")
-        for key in _DEFAULTS:
+        for key in KEYS:
             sp.add_argument(f"--{key}", default=None, help=f"override {key}")
 
     p_run = sub.add_parser("run", help="single simulation")
@@ -388,7 +348,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     add_common(p_val)
 
     args = parser.parse_args(argv)
-    overrides = {key: getattr(args, key) for key in _DEFAULTS}
+    overrides = {key: getattr(args, key) for key in KEYS}
 
     handlers = {
         "run": _cmd_run,

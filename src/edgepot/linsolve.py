@@ -7,8 +7,9 @@
 
       A = I (x) X1 + D (x) X2 + D^2 (x) X3,
 
-  where D is the unscaled mirror second difference in y, with rows
-  (1, -2, 1) inside and (-2, 2) at the walls, and X1, X2, X3 are m x m.
+  where D is the unscaled mirror second difference in y
+  (`stencils.mirror_dyy`), with rows (1, -2, 1) inside and (-2, 2) at the
+  walls, and X1, X2, X3 are m x m.
   The DCT-I diagonalises D: D = V diag(mu) V^-1 with V[j, k] =
   cos(pi j k / (Ny - 1)) and mu_k = 2 cos(pi k / (Ny - 1)) - 2.  So
   A = (V (x) I) B (V^-1 (x) I) with B = blockdiag_k(X1 + mu_k X2 +
@@ -49,6 +50,7 @@ import scipy.sparse as sps
 import scipy.sparse.linalg as spla
 
 from .errors import DimensionMismatchError, SingularPivotError
+from .stencils import mirror_dyy
 
 _PIVOT_RTOL = 1e-14
 _KRON_RTOL = 1e-13  # rebuilt Kronecker form against the matrix, relative to max|A|
@@ -119,13 +121,6 @@ def _checked_splu(matrix: sps.spmatrix, threshold: float, what: str = "") -> spl
     return lu
 
 
-def _mirror_dyy(ny: int) -> sps.csr_matrix:
-    """Unscaled D_yy with the mirror closure: (-2, 2) at the walls."""
-    d = sps.diags([1.0, -2.0, 1.0], [-1, 0, 1], shape=(ny, ny), format="lil")
-    d[0, 1] = d[ny - 1, ny - 2] = 2.0
-    return d.tocsr()
-
-
 def _kronecker_parts(a: sps.csr_matrix, a_max: float):
     """(ny, X1, X2, X3) if A = I (x) X1 + D (x) X2 + D^2 (x) X3, else None.
 
@@ -151,7 +146,7 @@ def _kronecker_parts(a: sps.csr_matrix, a_max: float):
     x3 = block(2)
     x2 = block(1) + 4.0 * x3
     x1 = block(0) + 2.0 * x2 - 6.0 * x3
-    d = _mirror_dyy(ny)
+    d = mirror_dyy(ny)
     rebuilt = sps.kron(sps.identity(ny), x1) + sps.kron(d, x2) + sps.kron(d @ d, x3)
     err = abs(rebuilt.tocsr() - a)
     if err.nnz and err.max() > _KRON_RTOL * a_max:
@@ -298,23 +293,16 @@ def estimate_cond2(
     a = matrix.tocsr()
     if equilibrate:
         dr, dc, b = ruiz_scalings(a)
-        bt = b.T.tocsr()
-
-        def fwd(v):
-            return bt @ (b @ v)
-
-        def inv(v):
-            y = (1.0 / dr) * lu_solve(factors, v / dc, trans="T")
-            return (1.0 / dc) * lu_solve(factors, y / dr)
-
     else:
-        at = a.T.tocsr()
+        dr, dc, b = np.ones(n), np.ones(n), a  # scaling by 1.0 is exact
+    bt = b.T.tocsr()
 
-        def fwd(v):
-            return at @ (a @ v)
+    def fwd(v):
+        return bt @ (b @ v)
 
-        def inv(v):
-            return lu_solve(factors, lu_solve(factors, v, trans="T"))
+    def inv(v):
+        y = (1.0 / dr) * lu_solve(factors, v / dc, trans="T")
+        return (1.0 / dc) * lu_solve(factors, y / dr)
 
     rng = np.random.default_rng(seed)
     smax, k1, ok1 = _power_iteration(fwd, n, rng, tol, max_iter)

@@ -2,15 +2,19 @@
 
 The reference solution used for the mesh-convergence study is
 
-    phi(t, x, y) = eta (t/pi)^2 cos(pi y) cos(1.25 pi x)
-                   - ln(1 - 1.25 t^2 cos(pi y) / pi) + lambda
+    phi(t, x, y) = eta (t/pi)^2 cos(pi y) cos(k x)
+                   - ln(1 - C t^2 cos(pi y)) + lambda,
 
-on the strip with L = 0.4.  Its x-dependent part carries the factor eta, so
-the 1/eta term of the single-field operator applied to it stays finite as
-eta -> 0, and it satisfies every boundary condition of the model exactly:
-the d_y and d_y^3 conditions on y = 0, 1 (all terms carry sin(pi y)), and
-the sheath law on x = -+0.4 where cos(1.25 pi x) vanishes while its slope
-is -+1.25 pi.
+    k = pi/(2L),  C = 1/(2 pi L),
+
+on the strip of any half-width L (k = 1.25 pi and C = 1.25/pi at L = 0.4).
+Its x-dependent part carries the factor eta, so the 1/eta term of the
+single-field operator applied to it stays finite as eta -> 0, and it
+satisfies every boundary condition of the model exactly: the d_y and d_y^3
+conditions on y = 0, 1 (all terms carry sin(pi y)), and the sheath law on
+x = -+L, where cos(k x) vanishes while its slope is +-k: there
+d_x q = +-(t/pi)^2 k cos(pi y) and the law asks for
++-(1 - e^{lambda - phi}) = +-C t^2 cos(pi y), which agree because C = k/pi^2.
 
 A historical variant with cos(pi y) dividing the log argument instead of
 multiplying it ("literal") is kept for regression purposes only: its log
@@ -20,6 +24,9 @@ O(1); it has no usable source term.
 A second, fully smooth solution ("smooth") provides an independent
 convergence check.  It does not satisfy the sheath law, so it carries
 additive manufactured sheath data g(t, y) through the Forcing bundle.
+
+``SOURCES`` maps every source name the command line accepts to the bundle
+it selects.
 """
 
 from __future__ import annotations
@@ -29,45 +36,50 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .assembly import Forcing
+from .assembly import ZERO_FORCING, Forcing
 from .errors import LogDomainError
+from .geometry import PhysConfig
 
-_C = 1.25 / np.pi  # coefficient of t^2 cos(pi y) inside the log
-_KX = 1.25 * np.pi  # x wavenumber of the micro part
-
-
-def _log_arg_corrected(t, y):
-    return 1.0 - _C * t * t * np.cos(np.pi * y)
+_KX = 1.25 * np.pi  # x wavenumber of the literal and smooth solutions (pi/(2L) at L = 0.4)
 
 
-def mms_phi(t, x, y, eta: float, lambda_ref: float):
+def _wavenumbers(L: float) -> tuple[float, float]:
+    """(k, C) = (pi/(2L), 1/(2 pi L)), formed from 1/(2L) so that L = 0.4
+    gives 1.25 pi and 1.25/pi bit for bit."""
+    r = 1.0 / (2.0 * L)
+    return r * np.pi, r / np.pi
+
+
+def _log_arg_corrected(t, y, c):
+    return 1.0 - c * t * t * np.cos(np.pi * y)
+
+
+def mms_phi(t, x, y, eta: float, lambda_ref: float, L: float = 0.4):
     """Reference manufactured solution (boundary-consistent form)."""
-    arg = _log_arg_corrected(t, y)
+    k, c = _wavenumbers(L)
+    arg = _log_arg_corrected(t, y, c)
     if np.any(arg <= 0):
         raise LogDomainError(f"log argument non-positive at t = {t}")
     w = np.cos(np.pi * y)
-    return eta * (t / np.pi) ** 2 * w * np.cos(_KX * x) - np.log(arg) + lambda_ref
+    return eta * (t / np.pi) ** 2 * w * np.cos(k * x) - np.log(arg) + lambda_ref
 
 
-def mms_phi_x(t, x, y, eta: float):
-    """d/dx of mms_phi (the log part is x-independent)."""
-    return -eta * (t / np.pi) ** 2 * np.cos(np.pi * y) * _KX * np.sin(_KX * x)
-
-
-def mms_q(t, x, y):
+def mms_q(t, x, y, L: float = 0.4):
     """Micro field of the splitting: q = (phi - p)/eta, independent of eta."""
-    return (t / np.pi) ** 2 * np.cos(np.pi * y) * np.cos(_KX * x)
+    k, _ = _wavenumbers(L)
+    return (t / np.pi) ** 2 * np.cos(np.pi * y) * np.cos(k * x)
 
 
-def mms_q_x(t, x, y):
-    return -((t / np.pi) ** 2) * np.cos(np.pi * y) * _KX * np.sin(_KX * x)
+def mms_q_x(t, x, y, L: float = 0.4):
+    k, _ = _wavenumbers(L)
+    return -((t / np.pi) ** 2) * np.cos(np.pi * y) * k * np.sin(k * x)
 
 
-def mms_source(t, x, y, eta: float, nu: float, lambda_ref: float):
+def mms_source(t, x, y, eta: float, nu: float, lambda_ref: float, L: float = 0.4):
     """Model operator applied to mms_phi, in closed form.
 
-    With phi = eta*A + B + lambda, A = (t/pi)^2 cos(pi y) cos(1.25 pi x) and
-    B = -ln(1 - a w), a = 1.25 t^2 / pi, w = cos(pi y):
+    With phi = eta*A + B + lambda, A = (t/pi)^2 cos(pi y) cos(k x) and
+    B = -ln(1 - a w), a = C t^2, w = cos(pi y):
 
         S = eta (-d_t d_y^2 A + nu d_y^4 A) - d_x^2 A - d_t d_y^2 B + nu d_y^4 B
 
@@ -75,17 +87,18 @@ def mms_source(t, x, y, eta: float, nu: float, lambda_ref: float):
     is affine in eta and finite at eta = 0.  lambda_ref only shifts phi and
     drops out of S; it is accepted to mirror mms_phi's signature.
     """
-    arg = _log_arg_corrected(t, y)
+    k, c = _wavenumbers(L)
+    arg = _log_arg_corrected(t, y, c)
     if np.any(arg <= 0):
         raise LogDomainError(f"log argument non-positive at t = {t}")
     w = np.cos(np.pi * y)
-    cx = np.cos(_KX * x)
-    a = _C * t * t
+    cx = np.cos(k * x)
+    a = c * t * t
     u = arg
     pi2 = np.pi**2
     micro = eta * (2.0 * t * w * cx + nu * pi2 * t * t * w * cx)
-    xterm = 1.5625 * t * t * w * cx
-    t_yy_log = 2.0 * pi2 * _C * t * (w + a * w * w - 2.0 * a) / u**3
+    xterm = (1.0 / (2.0 * L)) ** 2 * t * t * w * cx  # -d_x^2 A = (k/pi)^2 t^2 w cx
+    t_yy_log = 2.0 * pi2 * c * t * (w + a * w * w - 2.0 * a) / u**3
     y4_log = (
         nu
         * a
@@ -148,43 +161,50 @@ def smooth_source(t, x, y, eta: float, nu: float):
 
 @dataclass(frozen=True)
 class ManufacturedSolution:
-    """Exact solution bundle: closures plus the forcing that reproduces it."""
+    """What a source selects: forcing, initial data and the exact solution.
 
-    variant: str
-    phi: Callable  # (t, x, y) -> field
-    phi_x: Optional[Callable]  # d phi / dx
-    q: Optional[Callable]  # micro field of the splitting
-    q_x: Optional[Callable]
-    forcing: Forcing
+    ``phi``, ``q`` and ``q_x`` are None where the source has no closed-form
+    solution; ``forcing`` is None where the solution has no source term to
+    integrate it with (the literal variant).
+    """
+
+    forcing: Optional[Forcing]
     phi_ini: Callable  # (x, y) -> field at t = 0
+    phi: Optional[Callable] = None  # (t, x, y) -> field
+    q: Optional[Callable] = None  # micro field of the splitting
+    q_x: Optional[Callable] = None
+    y_max: float = 1.0  # phi is defined for 0 <= y <= y_max at every t <= 1
 
-    def has_source(self) -> bool:
-        return self.forcing.volume is not None
+
+def _constant(value: float) -> Callable:
+    return lambda x, y: np.full_like(np.asarray(x, dtype=float), value)
 
 
-def corrected_mms(eta: float, nu: float, lambda_ref: float) -> ManufacturedSolution:
+def corrected_mms(
+    eta: float, nu: float, lambda_ref: float, L: float = 0.4
+) -> ManufacturedSolution:
     """The boundary-consistent reference solution (default study target)."""
     return ManufacturedSolution(
-        variant="eq3_corrected",
-        phi=lambda t, x, y: mms_phi(t, x, y, eta, lambda_ref),
-        phi_x=lambda t, x, y: mms_phi_x(t, x, y, eta),
-        q=mms_q,
-        q_x=mms_q_x,
-        forcing=Forcing(volume=lambda t, x, y: mms_source(t, x, y, eta, nu, lambda_ref)),
-        phi_ini=lambda x, y: np.full_like(np.asarray(x, dtype=float), lambda_ref),
+        forcing=Forcing(volume=lambda t, x, y: mms_source(t, x, y, eta, nu, lambda_ref, L)),
+        phi_ini=_constant(lambda_ref),
+        phi=lambda t, x, y: mms_phi(t, x, y, eta, lambda_ref, L),
+        q=lambda t, x, y: mms_q(t, x, y, L),
+        q_x=lambda t, x, y: mms_q_x(t, x, y, L),
     )
 
 
 def literal_mms(eta: float, lambda_ref: float) -> ManufacturedSolution:
-    """The historical variant; documentation only, no source term."""
+    """The historical variant at L = 0.4; documentation only, no source term.
+
+    Its log argument turns negative above y = 0.37 at t = 1.
+    """
     return ManufacturedSolution(
-        variant="eq3_literal",
+        forcing=None,
+        phi_ini=_constant(lambda_ref),
         phi=lambda t, x, y: mms_phi_literal(t, x, y, eta, lambda_ref),
-        phi_x=lambda t, x, y: mms_phi_x(t, x, y, eta),
         q=mms_q,
         q_x=mms_q_x,
-        forcing=Forcing(),
-        phi_ini=lambda x, y: np.full_like(np.asarray(x, dtype=float), lambda_ref),
+        y_max=0.35,
     )
 
 
@@ -212,18 +232,28 @@ def smooth_mms(eta: float, nu: float, lambda_ref: float, L: float = 0.4) -> Manu
         return q_x(t, L, y) + (1.0 - np.exp(lambda_ref - phi_e))
 
     return ManufacturedSolution(
-        variant="smooth",
-        phi=lambda t, x, y: smooth_phi(t, x, y, eta, lambda_ref),
-        phi_x=lambda t, x, y: -eta * t * t * np.cos(np.pi * y) * kx * np.sin(kx * x),
-        q=q,
-        q_x=q_x,
         forcing=Forcing(
             volume=lambda t, x, y: smooth_source(t, x, y, eta, nu),
             sheath_west=g_west,
             sheath_east=g_east,
         ),
-        phi_ini=lambda x, y: np.full_like(np.asarray(x, dtype=float), lambda_ref),
+        phi_ini=_constant(lambda_ref),
+        phi=lambda t, x, y: smooth_phi(t, x, y, eta, lambda_ref),
+        q=q,
+        q_x=q_x,
     )
+
+
+# Every source name the command line accepts, with the bundle it selects.
+SOURCES: dict[str, Callable[[PhysConfig], ManufacturedSolution]] = {
+    "eq3_mms": lambda p: corrected_mms(p.eta, p.nu, p.lambda_ref, p.L),
+    "eq3_literal": lambda p: literal_mms(p.eta, p.lambda_ref),
+    "eq4": lambda p: ManufacturedSolution(
+        Forcing(volume=lambda t, x, y: eq4_source(t, x, y, p.L)), _constant(0.0)
+    ),
+    "smooth_mms": lambda p: smooth_mms(p.eta, p.nu, p.lambda_ref, p.L),
+    "zero": lambda p: ManufacturedSolution(Forcing(), _constant(p.lambda_ref)),
+}
 
 
 def sheath_residuals(
@@ -245,10 +275,11 @@ def sheath_residuals(
     phi_e = ms.phi(t, L, y)
     sheath_w = 1.0 - np.exp(lambda_ref - phi_w)
     sheath_e = -(1.0 - np.exp(lambda_ref - phi_e))
-    if ms.forcing.sheath_west is not None:
-        sheath_w = sheath_w + ms.forcing.sheath_west(t, y)
-    if ms.forcing.sheath_east is not None:
-        sheath_e = sheath_e + ms.forcing.sheath_east(t, y)
+    forcing = ms.forcing or ZERO_FORCING
+    if forcing.sheath_west is not None:
+        sheath_w = sheath_w + forcing.sheath_west(t, y)
+    if forcing.sheath_east is not None:
+        sheath_e = sheath_e + forcing.sheath_east(t, y)
     res_w = np.abs(ms.q_x(t, -L, y) - sheath_w).max()
     res_e = np.abs(ms.q_x(t, L, y) - sheath_e).max()
     return float(res_w), float(res_e)

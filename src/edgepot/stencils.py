@@ -30,6 +30,17 @@ from .errors import GridTooCoarseError
 from .geometry import Grid
 
 
+def mirror_dyy(ny: int) -> sps.csr_matrix:
+    """Unscaled second y-difference on a column of ny rows, mirror-closed.
+
+    Rows (1, -2, 1) inside and (-2, 2) at the walls; its square carries the
+    folded fourth-difference rows (6, -8, 2) and (-4, 7, -4, 1).
+    """
+    d = sps.diags([1.0, -2.0, 1.0], [-1, 0, 1], shape=(ny, ny), format="lil")
+    d[0, 1] = d[ny - 1, ny - 2] = 2.0
+    return d.tocsr()
+
+
 def _rows(grid: Grid, field: int, cols_i, cols_j, weights, scale: float) -> sps.csr_matrix:
     """Row r = scale * sum_t weights[t] u[slot(field, cols_i[t][r], cols_j[t][r])]."""
     cols = grid.slot(field, np.stack(cols_i), np.stack(cols_j))

@@ -41,10 +41,6 @@ class State:
     def q(self) -> Optional[np.ndarray]:
         return self.u[1::2] if self.scheme == "ap" else None
 
-    def phi_plasma(self) -> np.ndarray:
-        """phi on the plasma nodes only, in enumeration order."""
-        return self.phi[self.grid.plasma_ordinals]
-
 
 def init_state(
     grid: Grid, phys: PhysConfig, phi_ini: Callable, scheme: str = "ap"

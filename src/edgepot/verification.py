@@ -29,15 +29,11 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .assembly import Forcing, build_system
-from .errors import SingularPivotError
+from .errors import ConfigError, SingularPivotError
 from .geometry import DiscConfig, Grid, PhysConfig, build_grid
 from .linsolve import CondEstimate, estimate_cond2, lu_factorize
-from .manufactured import (
-    ManufacturedSolution,
-    corrected_mms,
-    eq4_source,
-    smooth_mms,
-)
+from .manufactured import SOURCES, eq4_source
+from .stencils import mirror_dyy
 from .timeloop import State, run
 
 
@@ -144,16 +140,6 @@ class CondStudy:
 # ---- study drivers ---------------------------------------------------
 
 
-def _mms_bundle(
-    variant: str, eta: float, nu: float, lambda_ref: float, L: float
-) -> ManufacturedSolution:
-    if variant == "eq3_corrected":
-        return corrected_mms(eta, nu, lambda_ref)
-    if variant == "smooth":
-        return smooth_mms(eta, nu, lambda_ref, L)
-    raise ValueError(f"no runnable manufactured solution named {variant!r}")
-
-
 def run_mms_convergence(
     deltas: Sequence[float],
     dt: float = 1e-4,
@@ -162,18 +148,27 @@ def run_mms_convergence(
     lambda_ref: float = 0.0,
     L: float = 0.4,
     t_end: float = 1.0,
-    variant: str = "eq3_corrected",
+    source: str = "eq3_mms",
 ) -> ConvergenceStudy:
-    """L2 error at t = T against the manufactured solution, per mesh step."""
-    ms0 = _mms_bundle(variant, eta, nu, lambda_ref, L)
+    """L2 error at t = T against the manufactured solution, per mesh step.
+
+    ``source`` is a name of ``manufactured.SOURCES``; one without an exact
+    solution or without a source term is refused with a ConfigError.
+    """
+    phys = PhysConfig(eta=eta, nu=nu, lambda_ref=lambda_ref, L=L, t_end=t_end)
+    ms = SOURCES[source](phys)
+    if ms.phi is None or ms.forcing is None:
+        raise ConfigError(
+            [f"InvalidSource: {source!r} has no exact solution with a source term "
+             "to converge to"]
+        )
     rows = []
     for d in sorted(deltas, reverse=True):
-        phys = PhysConfig(eta=eta, nu=nu, lambda_ref=lambda_ref, L=L, t_end=t_end)
         disc = DiscConfig(dx=d, dy=d, dt=dt, mode="strip")
         grid = build_grid(phys, disc)
-        final = run(grid, phys, disc, ms0.forcing, ms0.phi_ini, scheme="ap")
+        final = run(grid, phys, disc, ms.forcing, ms.phi_ini, scheme="ap")
         x, y = grid.node_coords()
-        err = l2_norm(grid, final.phi - ms0.phi(final.t, x, y))
+        err = l2_norm(grid, final.phi - ms.phi(final.t, x, y))
         rows.append(ConvergenceRow(h=d, dt=dt, err_l2=err))
     order = fit_loglog_slope([r.h for r in rows], [r.err_l2 for r in rows])
     return ConvergenceStudy(rows=tuple(rows), order=order)
@@ -306,15 +301,9 @@ def validate_compatibility(
     h = ys[1] - ys[0]
     f = np.broadcast_to(np.asarray(phi_ini(X, Y), dtype=float), X.shape).copy()
     f -= f.mean()  # offsets are annihilated analytically; avoid 1/h^4 cancellation
-    d4 = np.zeros_like(f)
-    d4[:, 2:-2] = (
-        f[:, :-4] - 4 * f[:, 1:-3] + 6 * f[:, 2:-2] - 4 * f[:, 3:-1] + f[:, 4:]
-    ) / h**4
-    # mirror closure at the walls, matching the solver's ghost elimination
-    d4[:, 0] = (6 * f[:, 0] - 8 * f[:, 1] + 2 * f[:, 2]) / h**4
-    d4[:, 1] = (-4 * f[:, 0] + 7 * f[:, 1] - 4 * f[:, 2] + f[:, 3]) / h**4
-    d4[:, -1] = (6 * f[:, -1] - 8 * f[:, -2] + 2 * f[:, -3]) / h**4
-    d4[:, -2] = (-4 * f[:, -1] + 7 * f[:, -2] - 4 * f[:, -3] + f[:, -4]) / h**4
+    # D^2 along y, D closed at the walls by the solver's mirror rule
+    d = mirror_dyy(n_quad)
+    d4 = (d @ d @ f.T).T / h**4
     rhs = nu * float(np.trapezoid(np.trapezoid(d4, ys, axis=1), xs))
 
     ys_face = ys[ys <= l + 1e-12]

@@ -39,7 +39,7 @@ def _verdict(num, name, ok, detail):
 def test_criterion_1_spatial_order():
     study = run_mms_convergence(
         deltas=[0.05, 0.025, 0.0125, 0.00625], dt=1e-4, eta=1e-3, nu=1.0,
-        lambda_ref=0.0, L=0.4, t_end=1.0, variant="eq3_corrected",
+        lambda_ref=0.0, L=0.4, t_end=1.0, source="eq3_mms",
     )
     errs = {r.h: r.err_l2 for r in study.rows}
     ok = 1.8 <= study.order <= 2.2

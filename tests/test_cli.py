@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from edgepot.cli import (
+    KEYS,
     dump_field,
     main,
     parse_config,
@@ -81,6 +82,24 @@ def test_spec_echo_round_trips_key_values():
     assert "scheme=ap" in echo
 
 
+def test_config_round_trip_through_echo(tmp_path):
+    # a valid, non-default value for every key of the table
+    values = {
+        "eta": 0.02, "nu": 0.5, "lambda": 0.25, "L": 0.3, "l": 0.5, "T": 0.75,
+        "dx": 0.05, "dy": 0.05, "dt": 1e-4, "mode": "full", "scheme": "naive",
+        "source": "smooth_mms", "outdir": str(tmp_path / "out"),
+    }
+    assert values.keys() == KEYS.keys()
+    spec = parse_config(None, values)
+    for key, k in KEYS.items():
+        owner = spec if k.owner is None else getattr(spec, k.owner)
+        assert getattr(owner, k.field) != k.default, key
+    cfg = tmp_path / "echo.cfg"
+    cfg.write_text(spec_echo(spec).replace(" ", "\n") + "\n")  # one pair per line
+    # the echo leaves out the output directory, which it is written into
+    assert parse_config(str(cfg), {"outdir": values["outdir"]}) == spec
+
+
 # ---- field dumps ---------------------------------------------------------------
 
 
@@ -152,6 +171,12 @@ def test_main_validate_reports_literal_residuals(capsys):
     code = main(["validate", "--dx", "0.05", "--dy", "0.05", "--source", "eq3_literal"])
     assert code == 0
     assert "eq3_literal" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("source", ["eq3_mms", "smooth_mms"])
+def test_main_validate_labels_residuals_with_the_source_name(capsys, source):
+    assert main(["validate", "--dx", "0.05", "--dy", "0.05", "--source", source]) == 0
+    assert f"sheath residuals ({source}):" in capsys.readouterr().out
 
 
 def test_main_bad_config_exits_1(capsys):
@@ -244,6 +269,27 @@ def test_main_mms_convergence_quick(tmp_path, capsys):
     hs = [float(line.split(",")[0]) for line in lines[1:]]
     assert hs == sorted(hs, reverse=True)  # sorted by h descending
     assert "fitted order" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("source", ["eq4", "zero", "eq3_literal"])
+def test_main_mms_convergence_refuses_source_without_exact_solution(tmp_path, capsys, source):
+    code = main([
+        "mms-convergence", "--source", source, "--grids", "0.1,0.05", "--dt", "0.0005",
+        "--T", "0.2", "--outdir", str(tmp_path),
+    ])
+    assert code == 1
+    assert "InvalidSource" in capsys.readouterr().err
+    assert not (tmp_path / "mms_convergence.csv").exists()
+
+
+def test_main_mms_convergence_refuses_full_mode(tmp_path, capsys):
+    code = main([
+        "mms-convergence", "--mode", "full", "--l", "0.5", "--grids", "0.1,0.05",
+        "--dt", "0.0005", "--T", "0.2", "--outdir", str(tmp_path),
+    ])
+    assert code == 1
+    assert "InvalidMode" in capsys.readouterr().err
+    assert not (tmp_path / "mms_convergence.csv").exists()
 
 
 def test_main_eta_sweep_quick(tmp_path, capsys):

@@ -69,19 +69,21 @@ def test_source_finite_as_eta_vanishes():
     assert s1 == pytest.approx(s0, abs=1e-10)
 
 
-def _fd_operator_oracle(t, x, y, eta, nu, lam, h=1e-3, dps=50):
+def _fd_operator_oracle(t, x, y, eta, nu, lam, L=0.4, h=1e-3, dps=50):
     """Fourth-order finite differences of the model operator on mms_phi.
 
     Evaluated in high precision: the h^-4 scaling of the fourth difference
     makes float64 cancellation (~1e-4) exceed the 1e-6 comparison target.
     """
     mp.mp.dps = dps
-    c = mp.mpf("1.25") / mp.pi
+    half_width = mp.mpf(str(L))
+    c = 1 / (2 * half_width * mp.pi)
+    k = mp.pi / (2 * half_width)
 
     def phi(tt, xx, yy):
         w = mp.cos(mp.pi * yy)
         return (
-            eta * (tt / mp.pi) ** 2 * w * mp.cos(mp.mpf("1.25") * mp.pi * xx)
+            eta * (tt / mp.pi) ** 2 * w * mp.cos(k * xx)
             - mp.log(1 - c * tt * tt * w)
             + lam
         )
@@ -117,6 +119,13 @@ def _fd_operator_oracle(t, x, y, eta, nu, lam, h=1e-3, dps=50):
 def test_source_matches_fd_operator_oracle(t, x, y, eta, nu):
     oracle = _fd_operator_oracle(t, x, y, eta, nu, lam=0.0)
     ours = mms_source(t, x, y, eta=eta, nu=nu, lambda_ref=0.0)
+    assert abs(ours - oracle) <= 1e-6
+
+
+def test_source_matches_fd_operator_oracle_at_another_L():
+    t, x, y, eta, nu, L = 0.9, -0.2, 0.3, 1e-2, 1.0, 0.3
+    oracle = _fd_operator_oracle(t, x, y, eta, nu, lam=0.0, L=L)
+    ours = mms_source(t, x, y, eta=eta, nu=nu, lambda_ref=0.0, L=L)
     assert abs(ours - oracle) <= 1e-6
 
 
@@ -167,11 +176,12 @@ def _sample_times_ys():
 
 
 def test_corrected_solution_satisfies_sheath_law():
-    for eta in (0.0, 1e-3, 0.5):
-        ms = corrected_mms(eta, 1.0, lambda_ref=0.3)
-        times, ys = _sample_times_ys()
-        rw, re = sheath_residuals(ms, 0.3, 0.4, times, ys)
-        assert rw <= 1e-10 and re <= 1e-10
+    for L in (0.4, 0.3):
+        for eta in (0.0, 1e-3, 0.5):
+            ms = corrected_mms(eta, 1.0, lambda_ref=0.3, L=L)
+            times, ys = _sample_times_ys()
+            rw, re = sheath_residuals(ms, 0.3, L, times, ys)
+            assert rw <= 1e-10 and re <= 1e-10
 
 
 def test_literal_variant_violates_sheath_law():

@@ -108,16 +108,24 @@ def test_mms_convergence_small_study_second_order():
 
 
 def test_mms_convergence_smooth_variant():
-    study = run_mms_convergence([0.1, 0.05], dt=1e-4, t_end=0.25, variant="smooth")
+    study = run_mms_convergence([0.1, 0.05], dt=1e-4, t_end=0.25, source="smooth_mms")
     assert study.order == pytest.approx(2.0, abs=0.4)
 
 
 def test_mms_convergence_smooth_variant_follows_L():
     # the manufactured sheath data sits on the grid's faces x = +-L, not +-0.4
     study = run_mms_convergence(
-        [0.1, 0.05, 0.025], dt=1e-3, eta=1e-2, L=0.3, t_end=0.2, variant="smooth"
+        [0.1, 0.05, 0.025], dt=1e-3, eta=1e-2, L=0.3, t_end=0.2, source="smooth_mms"
     )
     assert study.order >= 1.85
+
+
+def test_mms_convergence_reference_solution_follows_L():
+    # the reference solution satisfies the sheath law on the grid's faces x = +-L
+    study = run_mms_convergence(
+        [0.1, 0.05, 0.025], dt=1e-4, eta=1e-2, L=0.3, t_end=0.2, source="eq3_mms"
+    )
+    assert 1.7 <= study.order <= 2.0
 
 
 def test_mms_convergence_exposes_dt_floor():
