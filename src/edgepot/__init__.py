@@ -22,11 +22,8 @@ from .assembly import (
 from .geometry import (
     DiscConfig,
     Grid,
-    NodeClass,
-    NodeClassification,
     PhysConfig,
     build_grid,
-    classify_node,
     config_violations,
     validate_config,
 )
@@ -35,7 +32,6 @@ from .linsolve import (
     LUFactors,
     estimate_cond2,
     lu_factorize,
-    lu_refine,
     lu_solve,
     ruiz_scalings,
 )

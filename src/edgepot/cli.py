@@ -223,11 +223,16 @@ def _parse_float_list(raw: str) -> list[float]:
     return [float(tok) for tok in raw.split(",") if tok.strip()]
 
 
-def _cmd_mms_convergence(spec: RunSpec, args) -> int:
+def _require_strip(spec: RunSpec, command: str) -> None:
+    """The study drivers mesh the strip only; refuse another mode before any output."""
     if spec.disc.mode != "strip":
         raise ConfigError(
-            [f"InvalidMode: mms-convergence runs on the strip, got mode {spec.disc.mode!r}"]
+            [f"InvalidMode: {command} runs on the strip, got mode {spec.disc.mode!r}"]
         )
+
+
+def _cmd_mms_convergence(spec: RunSpec, args) -> int:
+    _require_strip(spec, "mms-convergence")
     deltas = _parse_float_list(args.grids)
     study = verification.run_mms_convergence(
         deltas,
@@ -238,6 +243,7 @@ def _cmd_mms_convergence(spec: RunSpec, args) -> int:
         L=spec.phys.L,
         t_end=spec.phys.t_end,
         source=spec.source,
+        scheme=spec.scheme,
     )
     spec.outdir.mkdir(parents=True, exist_ok=True)
     out = spec.outdir / "mms_convergence.csv"
@@ -250,6 +256,7 @@ def _cmd_mms_convergence(spec: RunSpec, args) -> int:
 
 
 def _cmd_eta_sweep(spec: RunSpec, args) -> int:
+    _require_strip(spec, "eta-sweep")
     etas = _parse_float_list(args.etas)
     study = verification.run_eta_sweep(
         etas,
@@ -258,6 +265,7 @@ def _cmd_eta_sweep(spec: RunSpec, args) -> int:
         nu=spec.phys.nu,
         L=spec.phys.L,
         t_end=spec.phys.t_end,
+        scheme=spec.scheme,
     )
     spec.outdir.mkdir(parents=True, exist_ok=True)
     out = spec.outdir / "eta_sweep.csv"
@@ -271,6 +279,7 @@ def _cmd_eta_sweep(spec: RunSpec, args) -> int:
 
 
 def _cmd_condition_study(spec: RunSpec, args) -> int:
+    _require_strip(spec, "condition-study")
     etas = _parse_float_list(args.etas)
     study = verification.run_condition_study(
         etas,

@@ -1,4 +1,4 @@
-"""Computational domain, mesh, node classification and unknown-index layout.
+"""Computational domain, mesh and unknown-index layout.
 
 The domain is the rectangle [-0.5, 0.5] x [0, 1] minus the limiter solid
 (|x| > L, y < l).  Two geometry modes are supported:
@@ -15,7 +15,6 @@ are never stored; they are eliminated analytically in the stencil module.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,25 +55,6 @@ class DiscConfig:
     dy: float
     dt: float
     mode: str = "strip"
-
-
-class NodeClass(enum.Enum):
-    INTERIOR = "Interior"
-    SIGMA_PAR_BOTTOM = "SigmaParBottom"
-    SIGMA_PAR_TOP = "SigmaParTop"
-    SIGMA_PAR_LIMITER_TOP = "SigmaParLimiterTop"
-    FACE_WEST = "FaceWest"
-    FACE_EAST = "FaceEast"
-    PERIODIC_SEAM = "PeriodicSeam"
-    GHOST_WEST = "GhostWest"
-    GHOST_EAST = "GhostEast"
-
-
-@dataclass(frozen=True)
-class NodeClassification:
-    primary: NodeClass
-    anchor_line: bool = False
-    limiter_top: bool = False  # corner (+-L, l): face node lying on the y = l boundary
 
 
 def _is_integer(v: float) -> bool:
@@ -146,7 +126,7 @@ def validate_config(phys: PhysConfig, disc: DiscConfig) -> tuple[PhysConfig, Dis
 
 
 class Grid:
-    """Immutable mesh with node classification and a flat unknown layout.
+    """Immutable mesh with a flat unknown layout.
 
     Unknowns are ordered row-major by (j, i, field) with field phi before q,
     which bounds the matrix bandwidth by a few grid rows.  phi and q live on
@@ -197,17 +177,6 @@ class Grid:
         """Rows that carry ghost columns and the face boundary conditions."""
         return range(self.Ny) if self.mode == "strip" else range(self.j_l)
 
-    def row_has_ghosts(self, j: int) -> bool:
-        if self.mode == "strip":
-            return True
-        return j < self.j_l
-
-    def plasma_cols(self, j: int) -> range:
-        """Plasma column indices of row j (canonical seam column included once)."""
-        if self.mode == "strip" or j < self.j_l:
-            return range(self.I1, self.I2 + 1)
-        return range(self.n_band_cols)
-
     def column_extent(self, i):
         """(bottom row, top row) of the plasma column i (scalar or array)."""
         spans = (self.mode == "strip") | ((self.I1 <= i) & (i <= self.I2))
@@ -251,7 +220,6 @@ class Grid:
         self.phi_nodes = np.column_stack([cols[cc], jj])
         self._plasma_ordinals = np.flatnonzero(plasma[jj, cc])
         self.n_phi = len(self._plasma_ordinals)
-        self.n_q = self.n_phi
         self.n_ghost = 2 * (len(jj) - self.n_phi)  # one phi and one q unknown per ghost node
         self.N = 2 * len(jj)
         self._x_arr = self.x(self.phi_nodes[:, 0])
@@ -297,61 +265,6 @@ class Grid:
         starts = np.flatnonzero(np.r_[True, j[1:] != j[:-1]])
         return float(np.max(np.maximum.reduceat(v, starts) - np.minimum.reduceat(v, starts)))
 
-    # ---- classification ----------------------------------------------
-
-    def classify(self, i: int, j: int) -> NodeClassification:
-        """Deterministic classification of a plasma or ghost node."""
-        if not 0 <= j < self.Ny:
-            raise OutOfDomainError(f"row {j} outside [0, {self.Ny - 1}]")
-        ghost_rows = self.row_has_ghosts(j)
-        if ghost_rows and i == self.I1 - 1:
-            return NodeClassification(NodeClass.GHOST_WEST)
-        if ghost_rows and i == self.I2 + 1:
-            return NodeClassification(NodeClass.GHOST_EAST)
-
-        if self.mode == "full" and j >= self.j_l:
-            if not 0 <= i <= self.n_band_cols:
-                raise OutOfDomainError(f"(i={i}, j={j}) outside the periodic band")
-            ic = i % self.n_band_cols
-            anchor = ic == self.I1
-            on_l = j == self.j_l
-            top = j == self.Ny - 1
-            if ic == self.I1 or ic == self.I2:
-                primary = NodeClass.FACE_WEST if ic == self.I1 else NodeClass.FACE_EAST
-                if not on_l:
-                    # above the corner the face column is ordinary plasma
-                    primary = NodeClass.SIGMA_PAR_TOP if top else NodeClass.INTERIOR
-                    return NodeClassification(primary, anchor_line=anchor)
-                return NodeClassification(primary, anchor_line=anchor, limiter_top=True)
-            if ic == 0:
-                # seam column x = +-0.5
-                if top:
-                    return NodeClassification(NodeClass.SIGMA_PAR_TOP)
-                if on_l:
-                    return NodeClassification(NodeClass.SIGMA_PAR_LIMITER_TOP)
-                return NodeClassification(NodeClass.PERIODIC_SEAM)
-            inside_gap = self.I1 < ic < self.I2
-            if top:
-                return NodeClassification(NodeClass.SIGMA_PAR_TOP)
-            if on_l and not inside_gap:
-                return NodeClassification(NodeClass.SIGMA_PAR_LIMITER_TOP)
-            return NodeClassification(NodeClass.INTERIOR)
-
-        # strip rows / full rows below the limiter top
-        if not self.I1 <= i <= self.I2:
-            raise OutOfDomainError(
-                f"(i={i}, j={j}) is not a stored node (limiter solid or outside the mesh)"
-            )
-        if i == self.I1:
-            return NodeClassification(NodeClass.FACE_WEST, anchor_line=True)
-        if i == self.I2:
-            return NodeClassification(NodeClass.FACE_EAST)
-        if j == 0:
-            return NodeClassification(NodeClass.SIGMA_PAR_BOTTOM)
-        if j == self.Ny - 1:
-            return NodeClassification(NodeClass.SIGMA_PAR_TOP)
-        return NodeClassification(NodeClass.INTERIOR)
-
     # ---- quadrature --------------------------------------------------
 
     def _compute_quad_weights(self, plasma: np.ndarray) -> np.ndarray:
@@ -385,7 +298,3 @@ def build_grid(phys: PhysConfig, disc: DiscConfig) -> Grid:
     """Validate the configuration and construct the mesh."""
     return Grid(phys, disc)
 
-
-def classify_node(grid: Grid, i: int, j: int) -> NodeClassification:
-    """Classification of node (i, j); OutOfDomainError for limiter-interior queries."""
-    return grid.classify(i, j)

@@ -214,16 +214,6 @@ def lu_solve(factors: LUFactors, rhs: np.ndarray, trans: str = "N") -> np.ndarra
     return modes.forward(c.reshape(u.shape)).ravel()
 
 
-def lu_refine(
-    factors: LUFactors, matrix: sps.spmatrix, rhs: np.ndarray, passes: int = 1
-) -> np.ndarray:
-    """Solve with `passes` rounds of iterative refinement in working precision."""
-    x = lu_solve(factors, rhs)
-    for _ in range(passes):
-        x = x + lu_solve(factors, rhs - matrix @ x)
-    return x
-
-
 def ruiz_scalings(
     matrix: sps.spmatrix, iters: int = 20
 ) -> tuple[np.ndarray, np.ndarray, sps.csr_matrix]:

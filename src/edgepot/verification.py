@@ -2,8 +2,8 @@
 
 Three studies back the verification claims:
 
-* mesh convergence of the coupled scheme against the manufactured solution
-  (second order in space once dt is small enough);
+* mesh convergence against the manufactured solution (second order in
+  space once dt is small enough);
 * decay of ||phi_eta - phi_0|| as eta -> 0 for the separable ramp source,
   whose x-odd structure makes phi_0 = 0 the exact limit (the discrete
   solver reproduces phi = 0 identically at eta = 0);
@@ -28,11 +28,11 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .assembly import Forcing, build_system
+from .assembly import build_system
 from .errors import ConfigError, SingularPivotError
 from .geometry import DiscConfig, Grid, PhysConfig, build_grid
 from .linsolve import CondEstimate, estimate_cond2, lu_factorize
-from .manufactured import SOURCES, eq4_source
+from .manufactured import SOURCES
 from .stencils import mirror_dyy
 from .timeloop import State, run
 
@@ -149,11 +149,14 @@ def run_mms_convergence(
     L: float = 0.4,
     t_end: float = 1.0,
     source: str = "eq3_mms",
+    scheme: str = "ap",
 ) -> ConvergenceStudy:
     """L2 error at t = T against the manufactured solution, per mesh step.
 
     ``source`` is a name of ``manufactured.SOURCES``; one without an exact
     solution or without a source term is refused with a ConfigError.
+    ``scheme`` is 'ap' or 'naive'; the single-field scheme is refused at
+    eta = 0 with EtaZeroUndefinedError.
     """
     phys = PhysConfig(eta=eta, nu=nu, lambda_ref=lambda_ref, L=L, t_end=t_end)
     ms = SOURCES[source](phys)
@@ -166,7 +169,7 @@ def run_mms_convergence(
     for d in sorted(deltas, reverse=True):
         disc = DiscConfig(dx=d, dy=d, dt=dt, mode="strip")
         grid = build_grid(phys, disc)
-        final = run(grid, phys, disc, ms.forcing, ms.phi_ini, scheme="ap")
+        final = run(grid, phys, disc, ms.forcing, ms.phi_ini, scheme=scheme)
         x, y = grid.node_coords()
         err = l2_norm(grid, final.phi - ms.phi(final.t, x, y))
         rows.append(ConvergenceRow(h=d, dt=dt, err_l2=err))
@@ -181,6 +184,7 @@ def run_eta_sweep(
     nu: float = 0.01,
     L: float = 0.4,
     t_end: float = 1.0,
+    scheme: str = "ap",
 ) -> EtaStudy:
     """Distance to the eta = 0 limit for the separable ramp source.
 
@@ -189,7 +193,8 @@ def run_eta_sweep(
     norms of phi_eta.  The default viscosity is small: the parallel term
     (pi/2L)^2/eta must dominate the perpendicular one nu (2 pi)^4 over the
     sweep for the O(eta) regime to be visible; with nu = 0.01 the crossover
-    sits near eta = 1, clear of the default sweep.
+    sits near eta = 1, clear of the default sweep.  ``scheme`` is 'ap' or
+    'naive'; the single-field scheme is refused at eta = 0.
     """
     rows = []
     for eta in sorted(etas, reverse=True):
@@ -197,8 +202,8 @@ def run_eta_sweep(
         disc = DiscConfig(dx=delta, dy=delta, dt=dt, mode="strip")
         grid = build_grid(phys, disc)
         obs = TimeNormObserver(grid)
-        forcing = Forcing(volume=lambda t, x, y: eq4_source(t, x, y, L))
-        run(grid, phys, disc, forcing, lambda x, y: np.zeros_like(x), observers=[obs])
+        ms = SOURCES["eq4"](phys)
+        run(grid, phys, disc, ms.forcing, ms.phi_ini, observers=[obs], scheme=scheme)
         l1, l2 = obs.norms(dt)
         rows.append(EtaRow(eta=eta, err_l1_time=l1, err_l2_time=l2))
     slope_l1 = fit_loglog_slope([r.eta for r in rows], [r.err_l1_time for r in rows])

@@ -292,6 +292,32 @@ def test_main_mms_convergence_refuses_full_mode(tmp_path, capsys):
     assert not (tmp_path / "mms_convergence.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["eta-sweep", "condition-study"])
+def test_main_study_refuses_full_mode(tmp_path, capsys, command):
+    code = main([
+        command, "--mode", "full", "--l", "0.5", "--etas", "1e-2,1e-3", "--dx", "0.1",
+        "--dy", "0.1", "--dt", "0.01", "--T", "0.2", "--outdir", str(tmp_path),
+    ])
+    assert code == 1
+    assert "InvalidMode" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["mms-convergence", "--eta", "0", "--grids", "0.1,0.05", "--dt", "0.0005"],
+        ["eta-sweep", "--etas", "1e-2,0", "--dx", "0.1", "--dy", "0.1", "--dt", "0.01"],
+    ],
+    ids=["mms-convergence", "eta-sweep"],
+)
+def test_main_study_runs_the_given_scheme(tmp_path, capsys, args):
+    # the single-field scheme is undefined at eta = 0
+    code = main(args + ["--scheme", "naive", "--T", "0.2", "--outdir", str(tmp_path)])
+    assert code == 2
+    assert "EtaZeroUndefined" in capsys.readouterr().err
+
+
 def test_main_eta_sweep_quick(tmp_path, capsys):
     code = main([
         "eta-sweep", "--etas", "1e-2,1e-3", "--dx", "0.1", "--dy", "0.1",

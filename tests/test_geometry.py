@@ -1,13 +1,13 @@
+import numpy as np
 import pytest
 
-from edgepot.assembly import build_system, check_csr
+from edgepot.assembly import RowKind, build_system, check_csr
 from edgepot.errors import ConfigError, OutOfDomainError
 from edgepot.geometry import (
+    Q,
     DiscConfig,
-    NodeClass,
     PhysConfig,
     build_grid,
-    classify_node,
     config_violations,
     validate_config,
 )
@@ -92,7 +92,7 @@ def test_row_count_from_dy():
 def test_strip_unknown_count():
     grid = build_grid(*strip_configs())
     assert grid.N == 2 * grid.Nx * grid.Ny + 4 * grid.Ny
-    assert grid.N == grid.n_phi + grid.n_q + grid.n_ghost
+    assert grid.N == 2 * grid.n_phi + grid.n_ghost
 
 
 def test_full_unknown_count():
@@ -137,7 +137,7 @@ def test_full_mode_east_ghost_column_is_the_seam_index():
         k = grid.ordinal(grid.n_band_cols, j)
         if j < grid.j_l:
             assert tuple(grid.phi_nodes[k]) == (grid.n_band_cols, j)
-            assert classify_node(grid, grid.n_band_cols, j).primary is NodeClass.GHOST_EAST
+            assert j in grid.face_rows() and k not in grid.plasma_ordinals
         else:
             assert k == grid.ordinal(0, j)
     area = 2 * grid.L + (1 - 2 * grid.L) * (1 - grid.limiter_height)
@@ -152,55 +152,71 @@ def test_seam_column_identified_once():
     assert grid.ordinal(0, j) == grid.ordinal(grid.n_band_cols, j)
 
 
-# ---- classification ---------------------------------------------------
+# ---- walls, faces, seam and ghosts through the layout lookups -----------
 
 
-def test_classify_bottom_wall():
+def test_bottom_wall_starts_every_strip_column():
     grid = build_grid(*strip_configs(dx=0.1, dy=0.1))
     i_mid = grid.Nx // 2
     assert grid.x(i_mid) == pytest.approx(0.0)
-    assert classify_node(grid, i_mid, 0).primary is NodeClass.SIGMA_PAR_BOTTOM
+    assert grid.column_extent(i_mid) == (0, grid.Ny - 1)
+    assert grid.ordinal(i_mid, 0) in grid.plasma_ordinals
 
 
-def test_classify_west_face_is_anchor_line():
-    grid = build_grid(*strip_configs(dx=0.1, dy=0.1))
-    cls = classify_node(grid, grid.I1, 5)
-    assert cls.primary is NodeClass.FACE_WEST
-    assert cls.anchor_line
+def anchor_slots(grid, phys, disc):
+    return build_system(grid, phys, disc, "ap").rows_of_kind(RowKind.ANCHOR)
 
 
-def test_classify_periodic_seam():
+def test_west_face_column_carries_the_anchor_rows():
+    phys, disc = strip_configs(dx=0.1, dy=0.1)
+    grid = build_grid(phys, disc)
+    assert grid.x(grid.I1) == pytest.approx(-grid.L)
+    assert 5 in grid.face_rows()
+    rows = np.arange(grid.Ny)
+    assert np.array_equal(anchor_slots(grid, phys, disc), grid.slot(Q, grid.I1, rows))
+
+
+def test_periodic_seam_twin_folds_onto_column_zero():
     grid = build_grid(*full_configs(dx=0.05, dy=0.05, l=0.6))
-    j = round(0.8 / grid.dy)
     twin = grid.n_band_cols  # x = +0.5
-    assert classify_node(grid, twin, j).primary is NodeClass.PERIODIC_SEAM
-    assert classify_node(grid, 0, j).primary is NodeClass.PERIODIC_SEAM
+    assert grid.x(twin) == pytest.approx(0.5) and grid.x(0) == pytest.approx(-0.5)
+    band = np.arange(grid.j_l, grid.Ny)
+    assert round(0.8 / grid.dy) in band
+    assert np.array_equal(grid.ordinal(twin, band), grid.ordinal(0, band))
+    assert np.isin(grid.ordinal(0, band), grid.plasma_ordinals).all()
 
 
-def test_classify_corner_reports_face_with_limiter_top_flag():
+def test_limiter_corner_is_plasma_without_ghost_and_anchored():
+    phys, disc = full_configs()
+    grid = build_grid(phys, disc)
+    assert grid.x(grid.I1) == pytest.approx(-grid.L)
+    assert grid.y(grid.j_l) == pytest.approx(grid.limiter_height)
+    assert grid.j_l not in grid.face_rows() and grid.j_l - 1 in grid.face_rows()
+    # west of the corner lies band plasma, not a ghost
+    corner_and_west = grid.ordinal([grid.I1, grid.I1 - 1], grid.j_l)
+    assert np.isin(corner_and_west, grid.plasma_ordinals).all()
+    # the anchor column is I1 on every row, corner and band rows included
+    rows = np.arange(grid.Ny)
+    assert np.array_equal(anchor_slots(grid, phys, disc), grid.slot(Q, grid.I1, rows))
+
+
+def test_limiter_top_row_is_the_bottom_of_outside_columns():
     grid = build_grid(*full_configs())
-    cls = classify_node(grid, grid.I1, grid.j_l)
-    assert cls.primary is NodeClass.FACE_WEST
-    assert cls.limiter_top
-    assert cls.anchor_line
+    assert grid.column_extent(grid.I1 - 2)[0] == grid.j_l
+    assert grid.column_extent(grid.I1) == (0, grid.Ny - 1)
+    assert grid.ordinal(grid.I1 - 2, grid.j_l) in grid.plasma_ordinals
 
 
-def test_classify_limiter_top_above_limiter():
+def test_ghost_columns_and_out_of_domain_lookups():
     grid = build_grid(*full_configs())
-    assert (
-        classify_node(grid, grid.I1 - 2, grid.j_l).primary
-        is NodeClass.SIGMA_PAR_LIMITER_TOP
-    )
-
-
-def test_classify_ghosts_and_out_of_domain():
-    grid = build_grid(*full_configs())
-    assert classify_node(grid, grid.I1 - 1, 0).primary is NodeClass.GHOST_WEST
-    assert classify_node(grid, grid.I2 + 1, 0).primary is NodeClass.GHOST_EAST
+    for ghost in (grid.I1 - 1, grid.I2 + 1):
+        k = grid.ordinal(ghost, 0)
+        assert tuple(grid.phi_nodes[k]) == (ghost, 0)
+        assert k not in grid.plasma_ordinals
     with pytest.raises(OutOfDomainError):
-        classify_node(grid, grid.I1 - 2, 0)  # deep inside the limiter
+        grid.ordinal(grid.I1 - 2, 0)  # deep inside the limiter
     with pytest.raises(OutOfDomainError):
-        classify_node(grid, 0, -1)
+        grid.ordinal(0, -1)
 
 
 # ---- quadrature weights ------------------------------------------------

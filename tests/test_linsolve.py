@@ -9,7 +9,6 @@ from edgepot.geometry import DiscConfig, PhysConfig, build_grid
 from edgepot.linsolve import (
     estimate_cond2,
     lu_factorize,
-    lu_refine,
     lu_solve,
     ruiz_scalings,
 )
@@ -102,15 +101,6 @@ def test_factor_solve_round_trip_n500():
     y = rng.standard_normal(500)
     x = lu_solve(f, a @ y)
     assert np.linalg.norm(x - y) <= 1e-8 * np.linalg.norm(y)
-
-
-def test_refined_solve_improves_residual():
-    a = random_dd(100, seed=21)
-    f = lu_factorize(a)
-    rng = np.random.default_rng(22)
-    b = rng.standard_normal(100)
-    x = lu_refine(f, a, b, passes=1)
-    assert np.linalg.norm(a @ x - b) <= 1e-12 * np.linalg.norm(b)
 
 
 def test_singular_matrix_raises():

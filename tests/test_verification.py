@@ -128,6 +128,16 @@ def test_mms_convergence_reference_solution_follows_L():
     assert 1.7 <= study.order <= 2.0
 
 
+def test_mms_convergence_single_field_matches_coupled():
+    # for eta > 0 the two schemes are algebraically equivalent
+    kw = dict(dt=5e-4, eta=1e-3, t_end=0.2)
+    ap = run_mms_convergence([0.1, 0.05], scheme="ap", **kw)
+    naive = run_mms_convergence([0.1, 0.05], scheme="naive", **kw)
+    for a, n in zip(ap.rows, naive.rows):
+        assert n.err_l2 == pytest.approx(a.err_l2, rel=1e-8)
+    assert naive.order == pytest.approx(ap.order, rel=1e-8)
+
+
 def test_mms_convergence_exposes_dt_floor():
     # coarse dt: halving dx leaves the error nearly unchanged
     study = run_mms_convergence([0.1, 0.05], dt=0.05, t_end=0.25)
