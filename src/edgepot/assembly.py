@@ -142,10 +142,9 @@ class System:
     src_y: np.ndarray
     west_rows: np.ndarray  # sheath row index per west face node
     west_phi: np.ndarray  # slot of phi^n at the west face
-    west_y: np.ndarray
     east_rows: np.ndarray
     east_phi: np.ndarray
-    east_y: np.ndarray
+    face_y: np.ndarray  # y of each face row, the same on both faces
 
     def rows_of_kind(self, kind: RowKind) -> np.ndarray:
         return np.flatnonzero(self.row_kinds == int(kind))
@@ -214,10 +213,9 @@ def build_system(grid: Grid, phys: PhysConfig, disc: DiscConfig, scheme: str) ->
         src_y=grid.y(j),
         west_rows=west_rows,
         west_phi=west_phi,
-        west_y=grid.y(jf),
         east_rows=east_rows,
         east_phi=east_phi,
-        east_y=grid.y(jf),
+        face_y=grid.y(jf),
     )
 
 
@@ -242,9 +240,9 @@ def assemble_ap_rhs(system: System, state, forcing: Forcing) -> np.ndarray:
         b[system.src_rows] += forcing.volume(t_next, system.src_x, system.src_y)
     west, east = _sheath_data(system, state.u)
     if forcing.sheath_west is not None:
-        west = west + forcing.sheath_west(t_next, system.west_y)
+        west = west + forcing.sheath_west(t_next, system.face_y)
     if forcing.sheath_east is not None:
-        east = east + forcing.sheath_east(t_next, system.east_y)
+        east = east + forcing.sheath_east(t_next, system.face_y)
     if system.scheme == "naive":
         eta = system.phys.eta
         west = eta * west

@@ -183,13 +183,6 @@ def write_csv(rows: Sequence, path, fields: Optional[Sequence[str]] = None) -> N
             fh.write(",".join(cells) + "\n")
 
 
-def _write_config_echo(spec: RunSpec, path: Path, extra: str = "") -> None:
-    with open(path, "w") as fh:
-        fh.write(spec_echo(spec) + "\n")
-        if extra:
-            fh.write(extra + "\n")
-
-
 # ---- subcommands -------------------------------------------------------
 
 
@@ -223,78 +216,39 @@ def _parse_float_list(raw: str) -> list[float]:
     return [float(tok) for tok in raw.split(",") if tok.strip()]
 
 
-def _require_strip(spec: RunSpec, command: str) -> None:
-    """The study drivers mesh the strip only; refuse another mode before any output."""
-    if spec.disc.mode != "strip":
-        raise ConfigError(
-            [f"InvalidMode: {command} runs on the strip, got mode {spec.disc.mode!r}"]
-        )
+def _write_study(spec: RunSpec, name: str, rows: Sequence, extra: str) -> None:
+    """Write ``<name>.csv`` and its ``<name>.config.txt`` echo into the outdir."""
+    spec.outdir.mkdir(parents=True, exist_ok=True)
+    out = spec.outdir / f"{name}.csv"
+    write_csv(rows, out)
+    (spec.outdir / f"{name}.config.txt").write_text(f"{spec_echo(spec)}\n{extra}\n")
+    print(f"wrote {out}")
 
 
 def _cmd_mms_convergence(spec: RunSpec, args) -> int:
-    _require_strip(spec, "mms-convergence")
-    deltas = _parse_float_list(args.grids)
     study = verification.run_mms_convergence(
-        deltas,
-        dt=spec.disc.dt,
-        eta=spec.phys.eta,
-        nu=spec.phys.nu,
-        lambda_ref=spec.phys.lambda_ref,
-        L=spec.phys.L,
-        t_end=spec.phys.t_end,
-        source=spec.source,
-        scheme=spec.scheme,
+        spec.phys, spec.disc, _parse_float_list(args.grids),
+        source=spec.source, scheme=spec.scheme,
     )
-    spec.outdir.mkdir(parents=True, exist_ok=True)
-    out = spec.outdir / "mms_convergence.csv"
-    write_csv(study.rows, out)
-    _write_config_echo(spec, spec.outdir / "mms_convergence.config.txt",
-                       extra=f"grids={args.grids} fitted_order={study.order!r}")
-    print(f"wrote {out}")
+    _write_study(spec, "mms_convergence", study.rows,
+                 f"grids={args.grids} fitted_order={study.order!r}")
     print(f"fitted order: {study.order!r}")
     return 0
 
 
 def _cmd_eta_sweep(spec: RunSpec, args) -> int:
-    _require_strip(spec, "eta-sweep")
-    etas = _parse_float_list(args.etas)
     study = verification.run_eta_sweep(
-        etas,
-        delta=spec.disc.dx,
-        dt=spec.disc.dt,
-        nu=spec.phys.nu,
-        L=spec.phys.L,
-        t_end=spec.phys.t_end,
-        scheme=spec.scheme,
+        spec.phys, spec.disc, _parse_float_list(args.etas), scheme=spec.scheme
     )
-    spec.outdir.mkdir(parents=True, exist_ok=True)
-    out = spec.outdir / "eta_sweep.csv"
-    write_csv(study.rows, out)
-    _write_config_echo(spec, spec.outdir / "eta_sweep.config.txt",
-                       extra=f"etas={args.etas} slope_l1={study.slope_l1!r} "
-                             f"slope_l2={study.slope_l2!r}")
-    print(f"wrote {out}")
+    _write_study(spec, "eta_sweep", study.rows,
+                 f"etas={args.etas} slope_l1={study.slope_l1!r} slope_l2={study.slope_l2!r}")
     print(f"slopes: L1 {study.slope_l1!r}  L2 {study.slope_l2!r}")
     return 0
 
 
 def _cmd_condition_study(spec: RunSpec, args) -> int:
-    _require_strip(spec, "condition-study")
-    etas = _parse_float_list(args.etas)
-    study = verification.run_condition_study(
-        etas,
-        delta=spec.disc.dx,
-        dt=spec.disc.dt,
-        nu=spec.phys.nu,
-        lambda_ref=spec.phys.lambda_ref,
-        L=spec.phys.L,
-    )
-    spec.outdir.mkdir(parents=True, exist_ok=True)
-    out = spec.outdir / "condition_study.csv"
-    write_csv(study.rows, out)
-    _write_config_echo(spec, spec.outdir / "condition_study.config.txt",
-                       extra=f"etas={args.etas}")
-    print(f"wrote {out}")
+    study = verification.run_condition_study(spec.phys, spec.disc, _parse_float_list(args.etas))
+    _write_study(spec, "condition_study", study.rows, f"etas={args.etas}")
     for row in study.rows:
         naive = "absent" if row.kappa_naive is None else repr(row.kappa_naive)
         print(f"eta={row.eta!r}: kappa_ap={row.kappa_ap!r} kappa_naive={naive}")

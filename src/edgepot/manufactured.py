@@ -163,7 +163,7 @@ def smooth_source(t, x, y, eta: float, nu: float):
 class ManufacturedSolution:
     """What a source selects: forcing, initial data and the exact solution.
 
-    ``phi``, ``q`` and ``q_x`` are None where the source has no closed-form
+    ``phi`` and ``q_x`` are None where the source has no closed-form
     solution; ``forcing`` is None where the solution has no source term to
     integrate it with (the literal variant).
     """
@@ -171,8 +171,7 @@ class ManufacturedSolution:
     forcing: Optional[Forcing]
     phi_ini: Callable  # (x, y) -> field at t = 0
     phi: Optional[Callable] = None  # (t, x, y) -> field
-    q: Optional[Callable] = None  # micro field of the splitting
-    q_x: Optional[Callable] = None
+    q_x: Optional[Callable] = None  # x-derivative of the micro field q of the splitting
     y_max: float = 1.0  # phi is defined for 0 <= y <= y_max at every t <= 1
 
 
@@ -188,7 +187,6 @@ def corrected_mms(
         forcing=Forcing(volume=lambda t, x, y: mms_source(t, x, y, eta, nu, lambda_ref, L)),
         phi_ini=_constant(lambda_ref),
         phi=lambda t, x, y: mms_phi(t, x, y, eta, lambda_ref, L),
-        q=lambda t, x, y: mms_q(t, x, y, L),
         q_x=lambda t, x, y: mms_q_x(t, x, y, L),
     )
 
@@ -202,7 +200,6 @@ def literal_mms(eta: float, lambda_ref: float) -> ManufacturedSolution:
         forcing=None,
         phi_ini=_constant(lambda_ref),
         phi=lambda t, x, y: mms_phi_literal(t, x, y, eta, lambda_ref),
-        q=mms_q,
         q_x=mms_q_x,
         y_max=0.35,
     )
@@ -215,13 +212,9 @@ def smooth_mms(eta: float, nu: float, lambda_ref: float, L: float = 0.4) -> Manu
     west face and d_x q = -(1 - e^{lambda - phi}) + g_e on the east face,
     with g chosen so the smooth field is the exact solution.
     """
-    kx = _KX
-
-    def q(t, x, y):
-        return t * t * np.cos(np.pi * y) * np.cos(kx * x)
 
     def q_x(t, x, y):
-        return -t * t * np.cos(np.pi * y) * kx * np.sin(kx * x)
+        return -t * t * np.cos(np.pi * y) * _KX * np.sin(_KX * x)
 
     def g_west(t, y):
         phi_w = smooth_phi(t, -L, y, eta, lambda_ref)
@@ -239,7 +232,6 @@ def smooth_mms(eta: float, nu: float, lambda_ref: float, L: float = 0.4) -> Manu
         ),
         phi_ini=_constant(lambda_ref),
         phi=lambda t, x, y: smooth_phi(t, x, y, eta, lambda_ref),
-        q=q,
         q_x=q_x,
     )
 

@@ -10,6 +10,9 @@ Three studies back the verification claims:
 * condition number of the constant matrix versus eta, coupled against
   single-field.
 
+Each driver takes the run's ``PhysConfig`` and ``DiscConfig``, replaces
+only the swept field, and refuses a mode other than 'strip'.
+
 The condition study reports the Euclidean condition number of the Ruiz
 row/column-equilibrated matrix, i.e. the conditioning of the system as a
 scaled direct solver sees it.  The raw assembled matrix mixes row scales of
@@ -23,7 +26,7 @@ single-field one.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -140,25 +143,28 @@ class CondStudy:
 # ---- study drivers ---------------------------------------------------
 
 
+def _require_strip(disc: DiscConfig, study: str) -> None:
+    """The studies mesh the strip only; refuse another mode before any work."""
+    if disc.mode != "strip":
+        raise ConfigError([f"InvalidMode: {study} runs on the strip, got mode {disc.mode!r}"])
+
+
 def run_mms_convergence(
+    phys: PhysConfig,
+    disc: DiscConfig,
     deltas: Sequence[float],
-    dt: float = 1e-4,
-    eta: float = 1e-3,
-    nu: float = 1.0,
-    lambda_ref: float = 0.0,
-    L: float = 0.4,
-    t_end: float = 1.0,
     source: str = "eq3_mms",
     scheme: str = "ap",
 ) -> ConvergenceStudy:
     """L2 error at t = T against the manufactured solution, per mesh step.
 
-    ``source`` is a name of ``manufactured.SOURCES``; one without an exact
-    solution or without a source term is refused with a ConfigError.
-    ``scheme`` is 'ap' or 'naive'; the single-field scheme is refused at
-    eta = 0 with EtaZeroUndefinedError.
+    Each mesh step replaces both ``disc.dx`` and ``disc.dy``.  ``source`` is
+    a name of ``manufactured.SOURCES``; one without an exact solution or
+    without a source term is refused with a ConfigError, and so is a mode
+    other than 'strip'.  The single-field ``scheme`` is refused at eta = 0
+    with EtaZeroUndefinedError.
     """
-    phys = PhysConfig(eta=eta, nu=nu, lambda_ref=lambda_ref, L=L, t_end=t_end)
+    _require_strip(disc, "mms-convergence")
     ms = SOURCES[source](phys)
     if ms.phi is None or ms.forcing is None:
         raise ConfigError(
@@ -167,44 +173,44 @@ def run_mms_convergence(
         )
     rows = []
     for d in sorted(deltas, reverse=True):
-        disc = DiscConfig(dx=d, dy=d, dt=dt, mode="strip")
-        grid = build_grid(phys, disc)
-        final = run(grid, phys, disc, ms.forcing, ms.phi_ini, scheme=scheme)
+        mesh = replace(disc, dx=d, dy=d)
+        grid = build_grid(phys, mesh)
+        final = run(grid, phys, mesh, ms.forcing, ms.phi_ini, scheme=scheme)
         x, y = grid.node_coords()
         err = l2_norm(grid, final.phi - ms.phi(final.t, x, y))
-        rows.append(ConvergenceRow(h=d, dt=dt, err_l2=err))
+        rows.append(ConvergenceRow(h=d, dt=disc.dt, err_l2=err))
     order = fit_loglog_slope([r.h for r in rows], [r.err_l2 for r in rows])
     return ConvergenceStudy(rows=tuple(rows), order=order)
 
 
 def run_eta_sweep(
-    etas: Sequence[float],
-    delta: float = 0.0125,
-    dt: float = 1e-3,
-    nu: float = 0.01,
-    L: float = 0.4,
-    t_end: float = 1.0,
-    scheme: str = "ap",
+    phys: PhysConfig, disc: DiscConfig, etas: Sequence[float], scheme: str = "ap"
 ) -> EtaStudy:
-    """Distance to the eta = 0 limit for the separable ramp source.
+    """Distance to the eta = 0 limit for the separable ramp source, per eta.
 
-    Configuration: lambda = 0, phi_ini = 0, full-height limiter, for which
-    the limit solution is identically zero, so the error norms are plain
-    norms of phi_eta.  The default viscosity is small: the parallel term
-    (pi/2L)^2/eta must dominate the perpendicular one nu (2 pi)^4 over the
-    sweep for the O(eta) regime to be visible; with nu = 0.01 the crossover
-    sits near eta = 1, clear of the default sweep.  ``scheme`` is 'ap' or
-    'naive'; the single-field scheme is refused at eta = 0.
+    Each eta replaces ``phys.eta``; the sweep always runs the ``eq4`` source
+    from phi_ini = 0 on the strip, for which the limit solution is
+    identically zero at lambda = 0, so the error norms are plain norms of
+    phi_eta.  Another lambda or mode is refused with a ConfigError.  The
+    O(eta) regime needs the parallel term (pi/2L)^2/eta to dominate the
+    perpendicular one nu (2 pi)^4 over the sweep: at nu = 0.01 the crossover
+    sits near eta = 1, at nu = 1 near eta = 1e-2.  The single-field
+    ``scheme`` is refused at eta = 0.
     """
+    _require_strip(disc, "eta-sweep")
+    if phys.lambda_ref != 0:
+        raise ConfigError(
+            [f"InvalidLambda: eta-sweep measures the distance to the zero limit, which "
+             f"holds at lambda = 0 only, got lambda {phys.lambda_ref!r}"]
+        )
     rows = []
     for eta in sorted(etas, reverse=True):
-        phys = PhysConfig(eta=eta, nu=nu, lambda_ref=0.0, L=L, t_end=t_end)
-        disc = DiscConfig(dx=delta, dy=delta, dt=dt, mode="strip")
-        grid = build_grid(phys, disc)
+        p = replace(phys, eta=eta)
+        grid = build_grid(p, disc)
         obs = TimeNormObserver(grid)
-        ms = SOURCES["eq4"](phys)
-        run(grid, phys, disc, ms.forcing, ms.phi_ini, observers=[obs], scheme=scheme)
-        l1, l2 = obs.norms(dt)
+        ms = SOURCES["eq4"](p)
+        run(grid, p, disc, ms.forcing, ms.phi_ini, observers=[obs], scheme=scheme)
+        l1, l2 = obs.norms(disc.dt)
         rows.append(EtaRow(eta=eta, err_l1_time=l1, err_l2_time=l2))
     slope_l1 = fit_loglog_slope([r.eta for r in rows], [r.err_l1_time for r in rows])
     slope_l2 = fit_loglog_slope([r.eta for r in rows], [r.err_l2_time for r in rows])
@@ -212,43 +218,32 @@ def run_eta_sweep(
 
 
 def run_condition_study(
-    etas: Sequence[float],
-    delta: float = 0.025,
-    dt: float = 1e-3,
-    nu: float = 1.0,
-    lambda_ref: float = 0.0,
-    L: float = 0.4,
-    tol: float = 1e-4,
-    max_iter: int = 10_000,
+    phys: PhysConfig, disc: DiscConfig, etas: Sequence[float]
 ) -> CondStudy:
     """Equilibrated condition number per eta, coupled and single-field.
 
-    The single-field entry is absent at eta = 0 (that scheme divides by
-    eta) and whenever its factorization hits a sub-threshold pivot, which
-    happens once eta is small enough to make the matrix numerically
-    singular: near eta = 1e-13 on these strip grids, whose factorization
-    tests the pivots of the row-scaled cosine-mode blocks.  The coupled
-    scheme factors at every eta down to 0.  The matrix does not depend on
-    the source or the state, only on the grid, eta, nu and dt.
+    Each eta replaces ``phys.eta``; a mode other than 'strip' is refused
+    with a ConfigError.  The single-field entry is absent at eta = 0 (that
+    scheme divides by eta) and whenever its factorization hits a
+    sub-threshold pivot, which happens once eta is small enough to make the
+    matrix numerically singular: near eta = 1e-13 on these strip grids,
+    whose factorization tests the pivots of the row-scaled cosine-mode
+    blocks.  The coupled scheme factors at every eta down to 0.  The matrix
+    does not depend on the source or the state, only on the grid, eta, nu
+    and dt.
     """
+    _require_strip(disc, "condition-study")
     rows = []
     for eta in sorted(etas, reverse=True):
-        phys = PhysConfig(eta=eta, nu=nu, lambda_ref=lambda_ref, L=L)
-        disc = DiscConfig(dx=delta, dy=delta, dt=dt, mode="strip")
-        grid = build_grid(phys, disc)
-        ap = build_system(grid, phys, disc, "ap")
-        est = estimate_cond2(
-            ap.matrix, lu_factorize(ap.matrix), tol=tol, max_iter=max_iter,
-            equilibrate=True,
-        )
+        p = replace(phys, eta=eta)
+        grid = build_grid(p, disc)
+        ap = build_system(grid, p, disc, "ap")
+        est = estimate_cond2(ap.matrix, lu_factorize(ap.matrix), equilibrate=True)
         kn: Optional[CondEstimate] = None
         if eta > 0:
-            nv = build_system(grid, phys, disc, "naive")
+            nv = build_system(grid, p, disc, "naive")
             try:
-                kn = estimate_cond2(
-                    nv.matrix, lu_factorize(nv.matrix), tol=tol, max_iter=max_iter,
-                    equilibrate=True,
-                )
+                kn = estimate_cond2(nv.matrix, lu_factorize(nv.matrix), equilibrate=True)
             except SingularPivotError:
                 kn = None
         rows.append(

@@ -38,8 +38,9 @@ def _verdict(num, name, ok, detail):
 
 def test_criterion_1_spatial_order():
     study = run_mms_convergence(
-        deltas=[0.05, 0.025, 0.0125, 0.00625], dt=1e-4, eta=1e-3, nu=1.0,
-        lambda_ref=0.0, L=0.4, t_end=1.0, source="eq3_mms",
+        PhysConfig(eta=1e-3, nu=1.0, lambda_ref=0.0, L=0.4, t_end=1.0),
+        DiscConfig(dx=0.05, dy=0.05, dt=1e-4),
+        deltas=[0.05, 0.025, 0.0125, 0.00625], source="eq3_mms",
     )
     errs = {r.h: r.err_l2 for r in study.rows}
     ok = 1.8 <= study.order <= 2.2
@@ -51,7 +52,9 @@ def test_criterion_1_spatial_order():
 
 def test_criterion_2_condition_boundedness():
     etas = [1e-2, 1e-4, 1e-6, 1e-8, 0.0]
-    study = run_condition_study(etas, delta=0.025, dt=1e-3)
+    study = run_condition_study(
+        PhysConfig(eta=0.0), DiscConfig(dx=0.025, dy=0.025, dt=1e-3), etas
+    )
     kap = {r.eta: r.kappa_ap for r in study.rows}
     knv = {r.eta: r.kappa_naive for r in study.rows}
     spread = max(kap.values()) / min(kap.values())
@@ -71,7 +74,9 @@ def test_criterion_2_condition_boundedness():
 
 def test_criterion_3_eta_convergence():
     study = run_eta_sweep(
-        [1e-1, 1e-2, 1e-3, 1e-4], delta=0.0125, dt=1e-3, nu=0.01, L=0.4, t_end=1.0
+        PhysConfig(eta=0.0, nu=0.01, L=0.4, t_end=1.0),
+        DiscConfig(dx=0.0125, dy=0.0125, dt=1e-3),
+        [1e-1, 1e-2, 1e-3, 1e-4],
     )
     s1, s2 = study.slope_l1, study.slope_l2
     ok = 0.85 <= s1 <= 1.15 and 0.85 <= s2 <= 1.15 and s1 >= 0.5 and s2 >= 0.5

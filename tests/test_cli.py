@@ -326,3 +326,27 @@ def test_main_eta_sweep_quick(tmp_path, capsys):
     assert code == 0
     assert (tmp_path / "eta_sweep.csv").exists()
     assert (tmp_path / "eta_sweep.config.txt").exists()
+
+
+def test_main_eta_sweep_refuses_nonzero_lambda(tmp_path, capsys):
+    code = main([
+        "eta-sweep", "--lambda", "0.5", "--etas", "1e-2,1e-3", "--dx", "0.1", "--dy", "0.1",
+        "--dt", "0.01", "--nu", "0.01", "--T", "0.2", "--outdir", str(tmp_path / "out"),
+    ])
+    assert code == 1
+    assert "InvalidLambda" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_main_condition_study_meshes_the_given_dy(tmp_path, capsys):
+    def rows(dy):
+        out = tmp_path / dy
+        assert main([
+            "condition-study", "--etas", "1e-2,0", "--dx", "0.1", "--dy", dy,
+            "--outdir", str(out),
+        ]) == 0
+        return (out / "condition_study.csv").read_text().splitlines()[1:]
+
+    coarse, fine = rows("0.1"), rows("0.05")
+    assert len(coarse) == len(fine) == 2
+    assert all(a != b for a, b in zip(coarse, fine))

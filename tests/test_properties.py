@@ -9,7 +9,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edgepot.assembly import build_system
+from edgepot.assembly import build_system, micro_macro_deviation
 from edgepot.geometry import DiscConfig, PhysConfig, build_grid
 from edgepot.linsolve import lu_factorize
 from edgepot.manufactured import SOURCES
@@ -70,3 +70,24 @@ def test_coupled_equals_single_field(cfg, eta):
     single = advance(grid, phys, disc, "naive", ms.forcing, ms.phi_ini)
     for a, n in zip(coupled, single):
         assert np.abs(a.phi - n.phi).max() <= 1e-8 * np.abs(a.phi).max()
+
+
+@examples
+@given(cfg=strip_configs, eta=st.one_of(st.just(0.0), log_uniform(1e-8, 1.0)))
+def test_macro_field_constant_along_x(cfg, eta):
+    # the coupling and flux-match rows make p = phi - eta q constant along x
+    grid, phys, disc = make(cfg, eta)
+    ms = SOURCES["eq4"](phys)
+    for state in advance(grid, phys, disc, "ap", ms.forcing, ms.phi_ini):
+        scale = max(1.0, np.abs(state.phi).max())
+        assert micro_macro_deviation(grid, state.u, eta) <= 1e-12 * scale
+
+
+@examples
+@given(cfg=strip_configs)
+def test_x_odd_forcing_vanishes_in_the_zero_limit(cfg):
+    # at eta = 0 phi is constant along x, and the x-odd ramp source averages to zero
+    grid, phys, disc = make({**cfg, "lam": 0.0}, 0.0)
+    ms = SOURCES["eq4"](phys)
+    for state in advance(grid, phys, disc, "ap", ms.forcing, ms.phi_ini):
+        assert np.abs(state.phi).max() <= 1e-12

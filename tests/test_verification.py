@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from edgepot.assembly import Forcing
+from edgepot.errors import ConfigError
 from edgepot.geometry import DiscConfig, PhysConfig, build_grid
 from edgepot.manufactured import eq4_source, mms_source
 from edgepot.verification import (
@@ -100,22 +103,28 @@ def test_fit_loglog_slope_recovers_power():
 
 # ---- study drivers ------------------------------------------------------------
 
+# the mms study replaces dx and dy with each of its mesh steps
+DISC = DiscConfig(dx=0.1, dy=0.1, dt=1e-4)
+
 
 def test_mms_convergence_small_study_second_order():
-    study = run_mms_convergence([0.1, 0.05], dt=1e-4, t_end=0.25)
+    study = run_mms_convergence(PhysConfig(eta=1e-3, t_end=0.25), DISC, [0.1, 0.05])
     assert [r.h for r in study.rows] == [0.1, 0.05]
     assert study.order == pytest.approx(2.0, abs=0.4)
 
 
 def test_mms_convergence_smooth_variant():
-    study = run_mms_convergence([0.1, 0.05], dt=1e-4, t_end=0.25, source="smooth_mms")
+    study = run_mms_convergence(
+        PhysConfig(eta=1e-3, t_end=0.25), DISC, [0.1, 0.05], source="smooth_mms"
+    )
     assert study.order == pytest.approx(2.0, abs=0.4)
 
 
 def test_mms_convergence_smooth_variant_follows_L():
     # the manufactured sheath data sits on the grid's faces x = +-L, not +-0.4
     study = run_mms_convergence(
-        [0.1, 0.05, 0.025], dt=1e-3, eta=1e-2, L=0.3, t_end=0.2, source="smooth_mms"
+        PhysConfig(eta=1e-2, L=0.3, t_end=0.2), replace(DISC, dt=1e-3), [0.1, 0.05, 0.025],
+        source="smooth_mms",
     )
     assert study.order >= 1.85
 
@@ -123,16 +132,16 @@ def test_mms_convergence_smooth_variant_follows_L():
 def test_mms_convergence_reference_solution_follows_L():
     # the reference solution satisfies the sheath law on the grid's faces x = +-L
     study = run_mms_convergence(
-        [0.1, 0.05, 0.025], dt=1e-4, eta=1e-2, L=0.3, t_end=0.2, source="eq3_mms"
+        PhysConfig(eta=1e-2, L=0.3, t_end=0.2), DISC, [0.1, 0.05, 0.025], source="eq3_mms"
     )
     assert 1.7 <= study.order <= 2.0
 
 
 def test_mms_convergence_single_field_matches_coupled():
     # for eta > 0 the two schemes are algebraically equivalent
-    kw = dict(dt=5e-4, eta=1e-3, t_end=0.2)
-    ap = run_mms_convergence([0.1, 0.05], scheme="ap", **kw)
-    naive = run_mms_convergence([0.1, 0.05], scheme="naive", **kw)
+    cfg = (PhysConfig(eta=1e-3, t_end=0.2), replace(DISC, dt=5e-4))
+    ap = run_mms_convergence(*cfg, [0.1, 0.05], scheme="ap")
+    naive = run_mms_convergence(*cfg, [0.1, 0.05], scheme="naive")
     for a, n in zip(ap.rows, naive.rows):
         assert n.err_l2 == pytest.approx(a.err_l2, rel=1e-8)
     assert naive.order == pytest.approx(ap.order, rel=1e-8)
@@ -140,7 +149,9 @@ def test_mms_convergence_single_field_matches_coupled():
 
 def test_mms_convergence_exposes_dt_floor():
     # coarse dt: halving dx leaves the error nearly unchanged
-    study = run_mms_convergence([0.1, 0.05], dt=0.05, t_end=0.25)
+    study = run_mms_convergence(
+        PhysConfig(eta=1e-3, t_end=0.25), replace(DISC, dt=0.05), [0.1, 0.05]
+    )
     e = [r.err_l2 for r in study.rows]
     assert e[0] / e[1] < 1.5
 
@@ -163,7 +174,9 @@ def test_eta_sweep_exact_zero_limit():
 
 
 def test_eta_sweep_slope_near_one():
-    study = run_eta_sweep([1e-2, 1e-3, 1e-4], delta=0.05, dt=1e-2, nu=0.01)
+    study = run_eta_sweep(
+        PhysConfig(eta=0.0, nu=0.01), DiscConfig(dx=0.05, dy=0.05, dt=1e-2), [1e-2, 1e-3, 1e-4]
+    )
     assert study.slope_l1 == pytest.approx(1.0, abs=0.15)
     assert study.slope_l2 == pytest.approx(1.0, abs=0.15)
     etas = [r.eta for r in study.rows]
@@ -172,14 +185,27 @@ def test_eta_sweep_slope_near_one():
 
 def test_condition_study_rows_and_determinism():
     etas = [1e-2, 0.0]
-    a = run_condition_study(etas, delta=0.1, dt=1e-3)
-    b = run_condition_study(etas, delta=0.1, dt=1e-3)
+    cfg = (PhysConfig(eta=0.0), DiscConfig(dx=0.1, dy=0.1, dt=1e-3))
+    a = run_condition_study(*cfg, etas)
+    b = run_condition_study(*cfg, etas)
     assert [r.eta for r in a.rows] == [1e-2, 0.0]
     assert a.rows[0].kappa_naive is not None
     assert a.rows[1].kappa_naive is None  # single-field absent at eta = 0
     assert np.isfinite(a.rows[1].kappa_ap)
     for ra, rb in zip(a.rows, b.rows):
         assert ra == rb  # bit-identical across repeated runs
+
+
+@pytest.mark.parametrize(
+    "study, swept",
+    [(run_mms_convergence, [0.1, 0.05]), (run_eta_sweep, [1e-2]), (run_condition_study, [1e-2])],
+    ids=["mms", "eta", "cond"],
+)
+def test_study_drivers_refuse_full_mode(study, swept):
+    phys = PhysConfig(eta=1e-2, limiter_height=0.5, t_end=0.1)
+    disc = DiscConfig(dx=0.1, dy=0.1, dt=1e-2, mode="full")
+    with pytest.raises(ConfigError, match="InvalidMode"):
+        study(phys, disc, swept)
 
 
 # ---- compatibility -------------------------------------------------------------
