@@ -69,6 +69,12 @@ class RowKind(enum.IntEnum):
 class Forcing:
     """Volume source S(t, x, y) plus optional manufactured sheath data g(t, y).
 
+    ``assemble_ap_rhs`` calls ``volume(t, x, y)`` once per step with x of
+    shape (1, nc), the x of the plasma columns, and y of shape (nr, 1), the
+    y of the plasma rows.  It must broadcast like a numpy ufunc: any result
+    that broadcasts to (nr, nc), a scalar or a y-only column included, is
+    taken at the plasma nodes.
+
     The sheath corrections are additive right-hand-side data for the face
     conditions (in the q-form for the coupled scheme, scaled by eta for the
     single-field one).  They are zero for the physical model and only set
@@ -138,8 +144,9 @@ class System:
     row_kinds: np.ndarray
     prev_op: sps.csr_matrix  # maps u^n to the explicit evolution part
     src_rows: np.ndarray  # evolution row index per plasma node
-    src_x: np.ndarray
-    src_y: np.ndarray
+    src_x: np.ndarray  # x of the plasma columns, shape (1, nc)
+    src_y: np.ndarray  # y of the plasma rows, shape (nr, 1)
+    src_at: np.ndarray  # flat position of each plasma node in the nr x nc rectangle
     west_rows: np.ndarray  # sheath row index per west face node
     west_phi: np.ndarray  # slot of phi^n at the west face
     east_rows: np.ndarray
@@ -200,6 +207,8 @@ def build_system(grid: Grid, phys: PhysConfig, disc: DiscConfig, scheme: str) ->
     matrix = _place([(rows, op) for _, rows, op in blocks], n, fold)
     check_csr(matrix)
     (west_rows, west_phi), (east_rows, east_phi) = faces
+    src_i, at_i = np.unique(i, return_inverse=True)
+    src_j, at_j = np.unique(j, return_inverse=True)
     return System(
         grid=grid,
         phys=phys,
@@ -209,8 +218,9 @@ def build_system(grid: Grid, phys: PhysConfig, disc: DiscConfig, scheme: str) ->
         row_kinds=kinds,
         prev_op=_place([(src_rows, prev)], n, fold),
         src_rows=src_rows // fold,
-        src_x=grid.x(i),
-        src_y=grid.y(j),
+        src_x=grid.x(src_i)[None, :],
+        src_y=grid.y(src_j)[:, None],
+        src_at=at_j * len(src_i) + at_i,
         west_rows=west_rows,
         west_phi=west_phi,
         east_rows=east_rows,
@@ -237,7 +247,11 @@ def assemble_ap_rhs(system: System, state, forcing: Forcing) -> np.ndarray:
     t_next = state.t + system.disc.dt
     b = system.prev_op @ state.u
     if forcing.volume is not None:
-        b[system.src_rows] += forcing.volume(t_next, system.src_x, system.src_y)
+        # once on the plasma rows x columns; full mode also evaluates (and
+        # drops) the limiter-solid corners of that rectangle
+        shape = (system.src_y.shape[0], system.src_x.shape[1])
+        volume = np.broadcast_to(forcing.volume(t_next, system.src_x, system.src_y), shape)
+        b[system.src_rows] += volume.reshape(-1)[system.src_at]
     west, east = _sheath_data(system, state.u)
     if forcing.sheath_west is not None:
         west = west + forcing.sheath_west(t_next, system.face_y)

@@ -118,15 +118,16 @@ def parse_config(path: Optional[str] = None, overrides: Optional[dict] = None) -
     return RunSpec(phys=phys, disc=disc, **kwargs[None])
 
 
-def spec_echo(spec: RunSpec) -> str:
+def spec_echo(spec: RunSpec, omit: Sequence[str] = ()) -> str:
     """One-line key=value echo of the resolved configuration.
 
-    The output directory is left out: the echo is written into it.
+    The output directory is left out, since the echo is written into it, and
+    so are the keys in ``omit``.
     """
     pairs = [
         (key, getattr(spec if k.owner is None else getattr(spec, k.owner), k.field))
         for key, k in KEYS.items()
-        if key != "outdir"
+        if key != "outdir" and key not in omit
     ]
     return " ".join(
         f"{k}={float(v)!r}" if isinstance(v, float) else f"{k}={v}" for k, v in pairs
@@ -216,12 +217,18 @@ def _parse_float_list(raw: str) -> list[float]:
     return [float(tok) for tok in raw.split(",") if tok.strip()]
 
 
-def _write_study(spec: RunSpec, name: str, rows: Sequence, extra: str) -> None:
-    """Write ``<name>.csv`` and its ``<name>.config.txt`` echo into the outdir."""
+def _write_study(
+    spec: RunSpec, name: str, rows: Sequence, extra: str, omit: Sequence[str]
+) -> None:
+    """Write ``<name>.csv`` and its ``<name>.config.txt`` echo into the outdir.
+
+    The echo leaves out ``omit``: the keys the study replaces by the swept
+    values recorded in ``extra``, and those it never reads.
+    """
     spec.outdir.mkdir(parents=True, exist_ok=True)
     out = spec.outdir / f"{name}.csv"
     write_csv(rows, out)
-    (spec.outdir / f"{name}.config.txt").write_text(f"{spec_echo(spec)}\n{extra}\n")
+    (spec.outdir / f"{name}.config.txt").write_text(f"{spec_echo(spec, omit)}\n{extra}\n")
     print(f"wrote {out}")
 
 
@@ -231,7 +238,7 @@ def _cmd_mms_convergence(spec: RunSpec, args) -> int:
         source=spec.source, scheme=spec.scheme,
     )
     _write_study(spec, "mms_convergence", study.rows,
-                 f"grids={args.grids} fitted_order={study.order!r}")
+                 f"grids={args.grids} fitted_order={study.order!r}", omit=("dx", "dy"))
     print(f"fitted order: {study.order!r}")
     return 0
 
@@ -241,14 +248,16 @@ def _cmd_eta_sweep(spec: RunSpec, args) -> int:
         spec.phys, spec.disc, _parse_float_list(args.etas), scheme=spec.scheme
     )
     _write_study(spec, "eta_sweep", study.rows,
-                 f"etas={args.etas} slope_l1={study.slope_l1!r} slope_l2={study.slope_l2!r}")
+                 f"etas={args.etas} slope_l1={study.slope_l1!r} slope_l2={study.slope_l2!r}",
+                 omit=("eta", "source"))  # the sweep always runs eq4
     print(f"slopes: L1 {study.slope_l1!r}  L2 {study.slope_l2!r}")
     return 0
 
 
 def _cmd_condition_study(spec: RunSpec, args) -> int:
     study = verification.run_condition_study(spec.phys, spec.disc, _parse_float_list(args.etas))
-    _write_study(spec, "condition_study", study.rows, f"etas={args.etas}")
+    _write_study(spec, "condition_study", study.rows, f"etas={args.etas}",
+                 omit=("eta", "T", "scheme", "source"))
     for row in study.rows:
         naive = "absent" if row.kappa_naive is None else repr(row.kappa_naive)
         print(f"eta={row.eta!r}: kappa_ap={row.kappa_ap!r} kappa_naive={naive}")

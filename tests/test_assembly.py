@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.io
@@ -15,8 +17,8 @@ from edgepot.assembly import (
 from edgepot.errors import EtaZeroUndefinedError, NonFiniteSourceError
 from edgepot.geometry import PHI, Q, DiscConfig, PhysConfig, build_grid
 from edgepot.linsolve import lu_factorize, lu_solve
-from edgepot.manufactured import corrected_mms
-from edgepot.timeloop import init_state
+from edgepot.manufactured import SOURCES, corrected_mms
+from edgepot.timeloop import State, init_state
 
 
 def make(eta=1e-3, dx=0.1, dy=0.25, dt=1e-3, lam=0.0, nu=1.0):
@@ -138,6 +140,78 @@ def test_evolution_rhs_shared_between_schemes():
     b_ap = assemble_ap_rhs(ap, s_ap, forcing)
     b_nv = assemble_ap_rhs(nv, s_nv, forcing)
     assert b_ap[ap.src_rows] == pytest.approx(b_nv[nv.src_rows], rel=1e-14)
+
+
+# strip at both half-gaps and the full geometry; full mode evaluates the
+# source on a rectangle that also covers the limiter-solid nodes
+RHS_GEOMETRIES = {
+    "strip L=0.4": (dict(), dict(dx=0.05, dy=0.05)),
+    "strip L=0.3": (dict(L=0.3), dict(dx=0.05, dy=0.05)),
+    "full l=0.5": (dict(limiter_height=0.5), dict(dx=0.05, dy=0.05, mode="full")),
+}
+
+
+def has_volume(source):
+    forcing = SOURCES[source](PhysConfig(eta=1e-3)).forcing
+    return forcing is not None and forcing.volume is not None
+
+
+VOLUME_SOURCES = [name for name in SOURCES if has_volume(name)]
+
+
+def rhs_system(geometry, scheme, eta):
+    phys_kw, disc_kw = RHS_GEOMETRIES[geometry]
+    phys = PhysConfig(eta=eta, **phys_kw)
+    disc = DiscConfig(dt=1e-3, **disc_kw)
+    grid = build_grid(phys, disc)
+    return build_system(grid, phys, disc, scheme)
+
+
+def node_by_node_rhs(system, state, forcing):
+    """Reference: the volume source evaluated and added one plasma node at a time."""
+    b = assemble_ap_rhs(system, state, replace(forcing, volume=None))
+    grid = system.grid
+    t = state.t + system.disc.dt
+    for row, (i, j) in zip(system.src_rows, grid.phi_nodes[grid.plasma_ordinals]):
+        b[row] += forcing.volume(t, grid.x(i), grid.y(j))
+    return b
+
+
+def test_volume_sources_are_listed():
+    assert set(VOLUME_SOURCES) == {"eq3_mms", "eq4", "smooth_mms"}
+
+
+@pytest.mark.parametrize("source", VOLUME_SOURCES)
+@pytest.mark.parametrize("geometry", list(RHS_GEOMETRIES))
+@pytest.mark.parametrize("scheme,eta", [("ap", 1e-3), ("ap", 0.0), ("naive", 1e-3)])
+def test_rhs_equals_node_by_node_source(source, geometry, scheme, eta):
+    system = rhs_system(geometry, scheme, eta)
+    forcing = SOURCES[source](system.phys).forcing
+    rng = np.random.default_rng(5)
+    for t in (0.0, 0.37, 0.9):
+        u = 0.1 * rng.standard_normal(system.matrix.shape[0])
+        state = State(t=t, n=0, u=u, grid=system.grid, scheme=scheme)
+        b = assemble_ap_rhs(system, state, forcing)
+        assert np.array_equal(b, node_by_node_rhs(system, state, forcing))
+
+
+@pytest.mark.parametrize("geometry", list(RHS_GEOMETRIES))
+@pytest.mark.parametrize("scheme", ["ap", "naive"])
+def test_rhs_broadcasts_scalar_and_y_only_sources(geometry, scheme):
+    # a source need not depend on x, or on anything but t
+    system = rhs_system(geometry, scheme, 1e-3)
+    state = State(t=0.5, n=0, u=np.zeros(system.matrix.shape[0]), grid=system.grid,
+                  scheme=scheme)
+    rows = system.rows_of_kind(RowKind.EVOLUTION)
+    assert np.array_equal(rows, np.sort(system.src_rows))
+    _, y = system.grid.node_coords()
+    y_of_row = np.empty(system.matrix.shape[0])
+    y_of_row[system.src_rows] = y[system.grid.plasma_ordinals]
+
+    b = assemble_ap_rhs(system, state, Forcing(volume=lambda t, x, y: 2.0 * t))
+    assert np.all(b[rows] == 2.0 * (0.5 + system.disc.dt))
+    b = assemble_ap_rhs(system, state, Forcing(volume=lambda t, x, y: np.cos(np.pi * y)))
+    assert np.array_equal(b[rows], np.cos(np.pi * y_of_row[rows]))
 
 
 def test_rhs_rejects_non_finite_source():

@@ -318,6 +318,29 @@ def test_main_study_runs_the_given_scheme(tmp_path, capsys, args):
     assert "EtaZeroUndefined" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "args,left_out",
+    [
+        (["mms-convergence", "--grids", "0.1,0.05", "--dt", "0.0005", "--T", "0.2"],
+         {"dx", "dy"}),
+        (["eta-sweep", "--etas", "1e-2,1e-3", "--dx", "0.1", "--dy", "0.1", "--dt", "0.01",
+          "--nu", "0.01", "--T", "0.2"], {"eta", "source"}),
+        (["condition-study", "--etas", "1e-2,0", "--dx", "0.1", "--dy", "0.1"],
+         {"eta", "T", "scheme", "source"}),
+    ],
+    ids=["mms-convergence", "eta-sweep", "condition-study"],
+)
+def test_main_study_echo_leaves_out_replaced_and_unread_keys(tmp_path, capsys, args, left_out):
+    # the swept values replace dx/dy or eta; the sweep always runs eq4, and the
+    # condition study reads neither T, nor the scheme (it builds both), nor the source
+    assert main(args + ["--outdir", str(tmp_path)]) == 0
+    name = args[0].replace("-", "_")
+    echo, extra = (tmp_path / f"{name}.config.txt").read_text().splitlines()
+    keys = [pair.split("=", 1)[0] for pair in echo.split()]
+    assert keys == [key for key in KEYS if key != "outdir" and key not in left_out]
+    assert extra.split()[0] == f"{args[1][2:]}={args[2]}"  # grids=... or etas=...
+
+
 def test_main_eta_sweep_quick(tmp_path, capsys):
     code = main([
         "eta-sweep", "--etas", "1e-2,1e-3", "--dx", "0.1", "--dy", "0.1",

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 import scipy.sparse as sps
-import scipy.sparse.linalg as spla
 
 from edgepot.assembly import RowKind, build_system
 from edgepot.errors import DimensionMismatchError, SingularPivotError
@@ -216,31 +215,10 @@ def strip_system(h, eta, scheme, dt=1e-3):
     return build_system(grid, phys, disc, scheme)
 
 
-def refined_splu_solve(a, b, trans):
-    """scipy's splu solution, refined with residuals in extended precision.
-
-    SuperLU's own forward error on these systems reaches 6e-6 (coupled,
-    eta = 0, h = 0.025) against backward errors near 1e-16; the refinement
-    takes the reference to roundoff, so the comparison measures the path
-    under test rather than the reference.
-    """
-    if np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps:
-        pytest.skip("no extended precision for the reference residual")
-    lu = spla.splu(a.tocsc())
-    m = (a if trans == "N" else a.T).tocoo()
-    vals = m.data.astype(np.longdouble)
-    x = lu.solve(b, trans=trans).astype(np.longdouble)
-    for _ in range(3):
-        r = b.astype(np.longdouble)
-        np.subtract.at(r, m.row, vals * x[m.col])
-        x += lu.solve(r.astype(np.float64), trans=trans)
-    return x.astype(np.float64), lu
-
-
 @pytest.mark.parametrize("trans", ["N", "T"])
 @pytest.mark.parametrize("eta,scheme", [(1e-3, "ap"), (0.0, "ap"), (1e-3, "naive")])
 @pytest.mark.parametrize("h", [0.05, 0.025])
-def test_strip_path_matches_splu(h, eta, scheme, trans):
+def test_strip_path_matches_splu(h, eta, scheme, trans, refined_splu_solve):
     a = strip_system(h, eta, scheme).matrix
     f = lu_factorize(a)
     assert f._modes is not None

@@ -6,12 +6,12 @@ log-uniformly where a range is given.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from edgepot.assembly import build_system, micro_macro_deviation
 from edgepot.geometry import DiscConfig, PhysConfig, build_grid
-from edgepot.linsolve import lu_factorize
+from edgepot.linsolve import lu_factorize, lu_solve, ruiz_scalings
 from edgepot.manufactured import SOURCES
 from edgepot.timeloop import init_state, step
 
@@ -91,3 +91,27 @@ def test_x_odd_forcing_vanishes_in_the_zero_limit(cfg):
     ms = SOURCES["eq4"](phys)
     for state in advance(grid, phys, disc, "ap", ms.forcing, ms.phi_ini):
         assert np.abs(state.phi).max() <= 1e-12
+
+
+@examples
+@given(
+    cfg=strip_configs,
+    eta=st.one_of(st.just(0.0), log_uniform(1e-8, 1.0)),
+    scheme=st.sampled_from(["ap", "naive"]),
+    trans=st.sampled_from(["N", "T"]),
+)
+def test_cosine_mode_path_matches_superlu(cfg, eta, scheme, trans, refined_splu_solve):
+    assume(scheme == "ap" or eta > 0)  # the single-field scheme divides by eta
+    grid, phys, disc = make(cfg, eta)
+    a = build_system(grid, phys, disc, scheme).matrix
+    factors = lu_factorize(a)
+    assert factors._modes is not None  # the strip took the cosine-mode path
+    b = np.random.default_rng(17).standard_normal(a.shape[0])
+    ref, _ = refined_splu_solve(a, b, trans)
+    x = lu_solve(factors, b, trans=trans)
+    # 1e-7, or the forward-error bound kappa * eps of a backward-stable solve
+    # of the equilibrated system where that is larger: the single-field
+    # system at eta below about 1e-7, whose equilibrated kappa reaches 1e10
+    kappa = np.linalg.cond(ruiz_scalings(a)[2].toarray())
+    tol = max(1e-7, kappa * np.finfo(float).eps)
+    assert np.linalg.norm(x - ref) <= tol * np.linalg.norm(ref)
