@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sps
 
+from edgepot import linsolve
 from edgepot.assembly import RowKind, build_system
 from edgepot.errors import DimensionMismatchError, SingularPivotError
 from edgepot.geometry import DiscConfig, PhysConfig, build_grid
@@ -70,6 +71,15 @@ def test_random_dd_factor_residual():
     f = lu_factorize(a)
     a_max = np.abs(a.data).max()
     assert factor_residual(a, f) <= 1e-12 * a_max
+
+
+def test_factors_do_not_depend_on_heap_trim(monkeypatch):
+    a = random_dd(100, seed=11)
+    trimmed = lu_factorize(a)
+    monkeypatch.setattr(linsolve, "_malloc_trim", None)  # a C library without malloc_trim
+    plain = lu_factorize(a)
+    assert (trimmed.L != plain.L).nnz == 0 and (trimmed.U != plain.U).nnz == 0
+    assert np.array_equal(trimmed.perm_r, plain.perm_r)
 
 
 def test_solve_residual_bound():
