@@ -28,6 +28,7 @@ from .geometry import (
     validate_config,
 )
 from .linsolve import (
+    ColumnBlocks,
     CondEstimate,
     LUFactors,
     estimate_cond2,
@@ -49,6 +50,7 @@ from .manufactured import (
 from .stencils import dx_central_row, dxx_row, dyy_row, dyyyy_row
 from .timeloop import State, init_state, run, step
 from .verification import (
+    AmplificationEstimate,
     CondRow,
     CondStudy,
     ConvergenceRow,
@@ -56,6 +58,7 @@ from .verification import (
     EtaRow,
     EtaStudy,
     TimeNormObserver,
+    amplification_factor,
     l2_norm,
     run_condition_study,
     run_eta_sweep,

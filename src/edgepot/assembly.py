@@ -54,6 +54,7 @@ import scipy.sparse as sps
 
 from .errors import EtaZeroUndefinedError, NonFiniteSourceError, SingularStructureError
 from .geometry import PHI, Q, DiscConfig, Grid, PhysConfig
+from .linsolve import ColumnBlocks
 from .stencils import dx_central_row, dxx_row, dyy_row, dyyyy_row
 
 
@@ -133,7 +134,9 @@ class System:
 
     Row r of ``matrix`` carries the equation tagged ``row_kinds[r]``; the
     index arrays locate the rows and unknowns the per-step right-hand side
-    touches, in the scheme's own layout.
+    touches, in the scheme's own layout.  ``matrix.column_blocks`` records
+    the grid's column blocks and interface (`linsolve.ColumnBlocks`) in
+    that layout, for `linsolve.lu_factorize`.
     """
 
     grid: Grid
@@ -206,6 +209,7 @@ def build_system(grid: Grid, phys: PhysConfig, disc: DiscConfig, scheme: str) ->
         kinds[rows // fold] = kind
     matrix = _place([(rows, op) for _, rows, op in blocks], n, fold)
     check_csr(matrix)
+    matrix.column_blocks = _column_blocks(grid, fields=2 // fold)
     (west_rows, west_phi), (east_rows, east_phi) = faces
     src_i, at_i = np.unique(i, return_inverse=True)
     src_j, at_j = np.unique(j, return_inverse=True)
@@ -226,6 +230,19 @@ def build_system(grid: Grid, phys: PhysConfig, disc: DiscConfig, scheme: str) ->
         east_rows=east_rows,
         east_phi=east_phi,
         face_y=grid.y(jf),
+    )
+
+
+def _column_blocks(grid: Grid, fields: int) -> ColumnBlocks:
+    """The grid's column blocks and interface as unknown indices (``fields`` per node)."""
+
+    def unknowns(ordinals):
+        return fields * ordinals[..., None] + np.arange(fields)
+
+    blocks, interface = grid.column_blocks()
+    return ColumnBlocks(
+        blocks=tuple(unknowns(b).reshape(len(b), -1) for b in blocks),
+        interface=unknowns(interface).ravel(),
     )
 
 

@@ -254,6 +254,26 @@ class Grid:
         """Ordinals of the plasma (non-ghost) nodes, in enumeration order."""
         return self._plasma_ordinals
 
+    def column_blocks(self) -> tuple[list[np.ndarray], np.ndarray]:
+        """Ordinals of the column blocks, each (rows, columns), and of the interface.
+
+        On the strip one block holds every node.  In full geometry the
+        interface is the columns I1 - 1, I1 and I2 + 1 on every row; the
+        blocks are the gap columns I1 + 1 .. I2 on every row and the band
+        columns I2 + 2 .. I1 - 2, wrapping through the seam, on the rows
+        j_l .. Ny - 1.  When I1 = 1 the band block is empty, and on the band
+        rows I2 + 1 is the seam twin of I1 - 1.  No x- or y-stencil couples
+        the two blocks.
+        """
+        if self.mode == "strip":
+            return [np.arange(len(self.phi_nodes)).reshape(self.Ny, -1)], np.empty(0, np.intp)
+        rows = np.arange(self.Ny)[:, None]
+        gap = self.ordinal(np.arange(self.I1 + 1, self.I2 + 1)[None, :], rows)
+        chain = np.arange(self.I2 + 2, self.n_band_cols + self.I1 - 1) % self.n_band_cols
+        interface = self.ordinal(np.array([[self.I1 - 1, self.I1, self.I2 + 1]]), rows)
+        blocks = [gap, self.ordinal(chain[None, :], rows[self.j_l :])] if chain.size else [gap]
+        return blocks, np.unique(interface)
+
     def row_spread(self, values: np.ndarray, nodes) -> float:
         """Max over grid rows of max - min of ``values`` at the ordinals ``nodes``.
 

@@ -239,20 +239,26 @@ def test_strip_path_matches_splu(h, eta, scheme, trans, refined_splu_solve):
     assert f.L.nnz + f.U.nnz < lu.L.nnz + lu.U.nnz
 
 
-def test_superlu_path_for_full_mode_and_unstructured_matrices():
-    phys = PhysConfig(eta=1e-3, limiter_height=0.5)
-    disc = DiscConfig(dx=0.05, dy=0.05, dt=1e-3, mode="full")
-    full = build_system(build_grid(phys, disc), phys, disc, "ap").matrix
-    for a in (full, random_dd(100, seed=3)):
-        f = lu_factorize(a)
-        assert f._modes is None
-        assert factor_residual(a, f) <= 1e-12 * np.abs(a.data).max()
+def test_superlu_path_for_unstructured_matrices():
+    a = random_dd(100, seed=3)
+    f = lu_factorize(a)
+    assert f._modes is None
+    assert factor_residual(a, f) <= 1e-12 * np.abs(a.data).max()
+
+
+def test_strip_matrix_without_its_layout_takes_superlu():
+    a = strip_system(0.05, 1e-3, "ap").matrix
+    copy = a.copy()  # a copy does not carry the recorded column blocks
+    assert hasattr(a, "column_blocks") and not hasattr(copy, "column_blocks")
+    f = lu_factorize(copy)
+    assert f._modes is None
+    assert factor_residual(copy, f) <= 1e-12 * np.abs(a.data).max()
 
 
 def test_strip_without_gauge_anchor_raises():
     # without the anchor rows q is fixed only up to a function of y
     system = strip_system(0.05, 1e-3, "ap")
-    a = system.matrix.copy()
+    a = system.matrix  # in place: a copy would lose the recorded column blocks
     rows = np.repeat(np.arange(a.shape[0]), np.diff(a.indptr))
     a.data[np.isin(rows, system.rows_of_kind(RowKind.ANCHOR))] = 0.0
     with pytest.raises(SingularPivotError):
@@ -263,4 +269,103 @@ def test_strip_single_field_refused_at_tiny_eta():
     # the row-scaled pivot is 1.1e-16 here
     a = strip_system(0.0125, 1e-14, "naive").matrix
     with pytest.raises(SingularPivotError, match="threshold"):
+        lu_factorize(a)
+
+
+# ---- full geometry: two column blocks and a dense interface Schur complement ----
+
+
+def full_system(h, l, eta, scheme, L=0.4, dt=1e-3):
+    phys = PhysConfig(eta=eta, L=L, limiter_height=l)
+    disc = DiscConfig(dx=h, dy=h, dt=dt, mode="full")
+    return build_system(build_grid(phys, disc), phys, disc, scheme)
+
+
+def backward_error(a, x, b):
+    """||A x - b|| / (||A|| ||x|| + ||b||) in the infinity norm."""
+    a_norm = abs(a).sum(axis=1).max()
+    return np.abs(a @ x - b).max() / (a_norm * np.abs(x).max() + np.abs(b).max())
+
+
+@pytest.mark.parametrize("trans", ["N", "T"])
+@pytest.mark.parametrize("eta,scheme", [(1e-3, "ap"), (0.0, "ap"), (1e-3, "naive")])
+@pytest.mark.parametrize("l", [0.5, 0.8])
+@pytest.mark.parametrize("h", [0.05, 0.025])
+def test_full_path_matches_splu(h, l, eta, scheme, trans, refined_splu_solve):
+    a = full_system(h, l, eta, scheme).matrix
+    f = lu_factorize(a)
+    assert len(f._modes) == 2 and f._interface is not None
+    b = np.random.default_rng(31).standard_normal(a.shape[0])
+    ref, _ = refined_splu_solve(a, b, trans)
+    x = lu_solve(f, b, trans=trans)
+    assert np.linalg.norm(x - ref) <= 1e-7 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("trans", ["N", "T"])
+def test_full_path_without_a_band_block(trans, refined_splu_solve):
+    # L = 0.45, dx = 0.05: I1 = 1, no column lies between the ghosts on the band rows
+    system = full_system(0.05, 0.5, 1e-3, "ap", L=0.45)
+    assert system.grid.I1 == 1
+    a = system.matrix
+    f = lu_factorize(a)
+    assert len(f._modes) == 1 and f._interface is not None
+    b = np.random.default_rng(37).standard_normal(a.shape[0])
+    ref, _ = refined_splu_solve(a, b, trans)
+    x = lu_solve(f, b, trans=trans)
+    assert np.linalg.norm(x - ref) <= 1e-7 * np.linalg.norm(ref)
+
+
+def test_full_path_factors_are_the_stacked_pieces():
+    # the interface piece factors the row-scaled Schur complement, formed here densely
+    a = full_system(0.05, 0.5, 1e-3, "ap").matrix
+    f = lu_factorize(a)
+    iface = a.column_blocks.interface
+    rest = np.setdiff1d(np.arange(a.shape[0]), iface)
+    d = a.toarray()
+    s = d[np.ix_(iface, iface)] - d[np.ix_(iface, rest)] @ np.linalg.solve(
+        d[np.ix_(rest, rest)], d[np.ix_(rest, iface)]
+    )
+    s /= np.abs(s).max(axis=1)[:, None]
+    piece = f._interface
+    lu = (piece.L @ piece.U).toarray()
+    assert np.abs(s[np.argsort(piece.perm_r)][:, piece.perm_c] - lu).max() <= 1e-9
+    # L and U stack every piece, the dense interface factors included
+    n_i = len(iface)
+    pieces = sum(block.lu.L.nnz + block.lu.U.nnz for block in f._modes)
+    assert f.L.nnz + f.U.nnz == pieces + n_i * n_i + n_i
+    assert sorted(f.perm_r) == list(range(a.shape[0]))
+    assert abs(sps.triu(f.L, 1)).sum() == 0 and abs(sps.tril(f.U, -1)).sum() == 0
+
+
+@pytest.mark.parametrize("trans", ["N", "T"])
+@pytest.mark.parametrize("eta", [1e-6, 0.0])
+def test_full_path_factors_small_eta_coupled_systems(eta, trans):
+    # SuperLU refused these: at eta = 0 its pivot is 1.7e-7 against a threshold of 3.4e-6
+    a = full_system(0.0125, 0.5, eta, "ap").matrix
+    f = lu_factorize(a)
+    assert f._interface is not None
+    b = np.random.default_rng(41).standard_normal(a.shape[0])
+    x = lu_solve(f, b, trans=trans)
+    assert backward_error(a if trans == "N" else a.T, x, b) <= 1e-12
+
+
+def test_full_path_falls_back_to_superlu_off_the_kronecker_form():
+    # a different weight on one band row's y-stencil breaks the form of the band block
+    system = full_system(0.05, 0.5, 1e-3, "ap")
+    a = system.matrix
+    band = system.matrix.column_blocks.blocks[1]
+    row = band[0, 0]
+    a.data[a.indptr[row] : a.indptr[row + 1]] *= 1.5
+    f = lu_factorize(a)
+    assert f._modes is None
+    assert factor_residual(a, f) <= 1e-12 * np.abs(a.data).max()
+
+
+def test_full_path_refuses_a_singular_interface():
+    # without the gauge anchor, on the interface column x = -L, q is fixed only up to a function of y
+    system = full_system(0.05, 0.5, 1e-3, "ap")
+    a = system.matrix
+    rows = np.repeat(np.arange(a.shape[0]), np.diff(a.indptr))
+    a.data[np.isin(rows, system.rows_of_kind(RowKind.ANCHOR))] = 0.0
+    with pytest.raises(SingularPivotError, match="interface Schur complement"):
         lu_factorize(a)

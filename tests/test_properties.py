@@ -1,8 +1,11 @@
-"""Invariants of the model checked on random coarse strip configurations.
+"""Invariants of the model checked on random coarse strip and full configurations.
 
-Each example draws a strip grid of nx by ny cells, a half-gap L, the
+Each strip example draws a grid of nx by ny cells, a half-gap L, the
 viscosity, the sheath reference lambda and the time step; eta is drawn
-log-uniformly where a range is given.
+log-uniformly where a range is given.  A full example draws the number of
+cells across each half of the domain and the gap's share of them (so L),
+the number of cells in y and the limiter's share of them (so l), the
+viscosity and the time step.
 """
 
 import numpy as np
@@ -93,19 +96,7 @@ def test_x_odd_forcing_vanishes_in_the_zero_limit(cfg):
         assert np.abs(state.phi).max() <= 1e-12
 
 
-@examples
-@given(
-    cfg=strip_configs,
-    eta=st.one_of(st.just(0.0), log_uniform(1e-8, 1.0)),
-    scheme=st.sampled_from(["ap", "naive"]),
-    trans=st.sampled_from(["N", "T"]),
-)
-def test_cosine_mode_path_matches_superlu(cfg, eta, scheme, trans, refined_splu_solve):
-    assume(scheme == "ap" or eta > 0)  # the single-field scheme divides by eta
-    grid, phys, disc = make(cfg, eta)
-    a = build_system(grid, phys, disc, scheme).matrix
-    factors = lu_factorize(a)
-    assert factors._modes is not None  # the strip took the cosine-mode path
+def assert_fast_path_matches_superlu(a, factors, trans, refined_splu_solve):
     b = np.random.default_rng(17).standard_normal(a.shape[0])
     ref, _ = refined_splu_solve(a, b, trans)
     x = lu_solve(factors, b, trans=trans)
@@ -115,3 +106,49 @@ def test_cosine_mode_path_matches_superlu(cfg, eta, scheme, trans, refined_splu_
     kappa = np.linalg.cond(ruiz_scalings(a)[2].toarray())
     tol = max(1e-7, kappa * np.finfo(float).eps)
     assert np.linalg.norm(x - ref) <= tol * np.linalg.norm(ref)
+
+
+solver_cases = dict(
+    eta=st.one_of(st.just(0.0), log_uniform(1e-8, 1.0)),
+    scheme=st.sampled_from(["ap", "naive"]),
+    trans=st.sampled_from(["N", "T"]),
+)
+
+
+@examples
+@given(cfg=strip_configs, **solver_cases)
+def test_cosine_mode_path_matches_superlu(cfg, eta, scheme, trans, refined_splu_solve):
+    assume(scheme == "ap" or eta > 0)  # the single-field scheme divides by eta
+    grid, phys, disc = make(cfg, eta)
+    a = build_system(grid, phys, disc, scheme).matrix
+    factors = lu_factorize(a)
+    assert factors._modes is not None  # the strip took the cosine-mode path
+    assert_fast_path_matches_superlu(a, factors, trans, refined_splu_solve)
+
+
+full_configs = st.fixed_dictionaries(
+    {
+        # (cells per half-width, of which inside the gap): L = gap / (2 half)
+        "x": st.integers(2, 8).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n - 1))),
+        # (cells in y, of which below the limiter top): l = below / ny, 5 band rows at least
+        "y": st.integers(5, 10).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n - 4))),
+        "nu": log_uniform(1e-2, 10.0),
+        "dt": log_uniform(1e-3, 1e-1),
+    }
+)
+
+
+@examples
+@given(cfg=full_configs, **solver_cases)
+def test_column_block_path_matches_superlu_in_full_geometry(
+    cfg, eta, scheme, trans, refined_splu_solve
+):
+    assume(scheme == "ap" or eta > 0)
+    (half, gap), (ny, below) = cfg["x"], cfg["y"]
+    dx = 0.5 / half
+    phys = PhysConfig(eta=eta, nu=cfg["nu"], L=gap * dx, limiter_height=below / ny)
+    disc = DiscConfig(dx=dx, dy=1.0 / ny, dt=cfg["dt"], mode="full")
+    a = build_system(build_grid(phys, disc), phys, disc, scheme).matrix
+    factors = lu_factorize(a)
+    assert factors._interface is not None  # the column-block path, not SuperLU
+    assert_fast_path_matches_superlu(a, factors, trans, refined_splu_solve)
