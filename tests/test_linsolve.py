@@ -35,6 +35,20 @@ def svd_designed(n, span, seed):
     return csr(q1 @ np.diag(s) @ q2.T), s.max() / s.min()
 
 
+def ruiz_reference(a, iters=20):
+    """(dr, dc, Dr A Dc) by the Ruiz iteration written with diagonal-matrix products."""
+    b = a.tocsr()
+    dr, dc = np.ones(a.shape[0]), np.ones(a.shape[1])
+    for _ in range(iters):
+        rn = np.sqrt(np.asarray(b.multiply(b).sum(axis=1)).ravel()) ** 0.5
+        dr /= rn
+        b = sps.diags(1.0 / rn) @ b
+        cn = np.sqrt(np.asarray(b.multiply(b).sum(axis=0)).ravel()) ** 0.5
+        dc /= cn
+        b = b @ sps.diags(1.0 / cn)
+    return dr, dc, b
+
+
 def factor_residual(a, factors):
     """max-norm of Pr A Pc - L U."""
     n = a.shape[0]
@@ -179,6 +193,13 @@ def test_cond_stagnation_flag():
     assert est.value > 0
 
 
+@pytest.mark.parametrize("max_iter", [0, -1])
+def test_cond_rejects_max_iter_below_one(max_iter):
+    a = csr(np.eye(4))
+    with pytest.raises(ValueError, match="max_iter"):
+        estimate_cond2(a, lu_factorize(a), max_iter=max_iter)
+
+
 def test_equilibrated_cond_of_scaled_identity():
     # row scaling is absorbed: D I is perfectly conditioned after Ruiz
     d = np.logspace(0, 6, 20)
@@ -199,15 +220,7 @@ def test_ruiz_normalizes_rows_and_columns():
 def test_ruiz_matches_matrix_product_form():
     # reference: the same iteration written with diagonal-matrix products
     a, _ = svd_designed(40, 4.0, seed=29)
-    b = a.tocsr()
-    dr, dc = np.ones(40), np.ones(40)
-    for _ in range(20):
-        rn = np.sqrt(np.asarray(b.multiply(b).sum(axis=1)).ravel()) ** 0.5
-        dr /= rn
-        b = sps.diags(1.0 / rn) @ b
-        cn = np.sqrt(np.asarray(b.multiply(b).sum(axis=0)).ravel()) ** 0.5
-        dc /= cn
-        b = b @ sps.diags(1.0 / cn)
+    dr, dc, b = ruiz_reference(a)
     got_dr, got_dc, got_b = ruiz_scalings(a)
     assert got_dr == pytest.approx(dr, rel=1e-13)
     assert got_dc == pytest.approx(dc, rel=1e-13)
@@ -369,3 +382,42 @@ def test_full_path_refuses_a_singular_interface():
     a.data[np.isin(rows, system.rows_of_kind(RowKind.ANCHOR))] = 0.0
     with pytest.raises(SingularPivotError, match="interface Schur complement"):
         lu_factorize(a)
+
+
+# ---- Ruiz equilibration and the estimator on model matrices -----------------
+
+
+MODEL_MATRICES = {
+    "strip h=0.05 ap eta=0": lambda: strip_system(0.05, 0.0, "ap").matrix,
+    # row scales span about 8e9, entries 1e-8 .. 8e10
+    "strip h=0.05 naive eta=1e-8": lambda: strip_system(0.05, 1e-8, "naive").matrix,
+    "full l=0.5 h=0.05 ap eta=1e-3": lambda: full_system(0.05, 0.5, 1e-3, "ap").matrix,
+}
+
+
+@pytest.mark.parametrize("name", list(MODEL_MATRICES))
+def test_ruiz_matches_reference_on_model_matrices(name):
+    a = MODEL_MATRICES[name]()
+    before = [a.data.copy(), a.indices.copy(), a.indptr.copy()]
+    dr, dc, b = ruiz_reference(a)
+    got_dr, got_dc, got_b = ruiz_scalings(a)
+    assert np.all(np.abs(got_dr - dr) <= 1e-13 * np.abs(dr))
+    assert np.all(np.abs(got_dc - dc) <= 1e-13 * np.abs(dc))
+    assert (abs(got_b - b) - 1e-13 * abs(b)).max() <= 0  # entrywise
+    for now, then in zip([a.data, a.indices, a.indptr], before):
+        assert np.array_equal(now, then)  # the input's arrays are left untouched
+
+
+@pytest.mark.parametrize("scheme,eta", [("ap", 1e-2), ("ap", 0.0), ("naive", 1e-2), ("naive", 1e-6)])
+@pytest.mark.parametrize("mode", ["strip", "full"])
+def test_cond_estimate_is_a_lower_bound_within_a_percent(mode, scheme, eta):
+    # tol = 1e-4 bounds the last iteration's change, not the error; seen 0.09-0.26% low here
+    if mode == "strip":
+        a = strip_system(0.05, eta, scheme).matrix
+    else:
+        a = full_system(0.05, 0.5, eta, scheme).matrix
+    est = estimate_cond2(a, lu_factorize(a), equilibrate=True)
+    sv = np.linalg.svd(ruiz_scalings(a)[2].toarray(), compute_uv=False)  # dense oracle
+    truth = sv[0] / sv[-1]
+    assert est.converged
+    assert truth * (1 - 1e-2) <= est.value <= truth * (1 + 1e-12)
