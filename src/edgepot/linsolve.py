@@ -30,13 +30,15 @@ on every grid row it spans, and an interface of the remaining unknowns.
     1971, and Proskurowski & Widlund, Math. Comp. 1976).  S is built per
     cosine mode from block solves whose right-hand sides are unit vectors
     at the few positions next to the interface, then row-scaled and
-    factored by LAPACK.  A solve is one cosine-mode solve per block, one
-    dense interface solve and a correction of the mode coefficients.
+    factored by LAPACK (see the memory paragraph below).  A solve is one
+    cosine-mode solve per block, one dense interface solve and a
+    correction of the mode coefficients.
     The anchor column I1 must be in the interface: without it the gap
     block's cosine mode 0 carries no phi in its evolution rows and is
     singular.
   A matrix that does not have its recorded form (an entry between two
-  blocks, or a block off the Kronecker form) falls back to SuperLU.
+  blocks, or a block off the Kronecker form) falls back to SuperLU, with a
+  warning on this module's logger that names the reason.
 * **SuperLU path.**  Any other matrix (one without a recorded layout, test
   matrices) is factored as it stands by SuperLU
   (scipy.sparse.linalg.splu) with threshold partial pivoting; the factors
@@ -66,11 +68,29 @@ freeing it raises glibc's dynamic mmap and trim thresholds, so without the
 trim whether the previous factorization's freed memory stays resident
 depends on the heap layout, and the peak resident size of a process that
 factors repeatedly varies by about 10 MB from run to run at N = 42,182.
+
+The column-block factorization holds little beyond its factors while it
+runs.  S is built one read position at a time: for position r of a block,
+the rows of A_bb^-1 at r and the columns at the written positions form an
+Ny x (Ny W) array (W written positions), and only the interface rows that
+read r take it, so no n_I x (Ny W) product or 4-D intermediate exists.  S
+is row-scaled in place; LAPACK factors a Fortran-order copy of it (S is
+kept in C order, where the row updates of its build are contiguous).  The
+mode matrices go to SuperLU with one-column panels and no relaxed
+supernodes (``panel_size=1, relax=1``).  B is a block diagonal of bands
+about ten entries wide, so there is little for wide panels or relaxed
+supernodes to gather: with SuperLU's defaults a factorization at
+N = 42,182 raised the resident size by 15 MB more at its peak and took
+93 ms instead of 84 ms.  On the full grids the traced peak of
+`lu_factorize` beyond what it returns is about 1.4 times the 8 n_I^2
+bytes of S, against 3.2 times for a Schur complement formed through an
+n_I x (Ny W) product.
 """
 
 from __future__ import annotations
 
 import ctypes
+import logging
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -87,6 +107,9 @@ _PIVOT_RTOL = 1e-14
 _KRON_RTOL = 1e-13  # rebuilt Kronecker form against the matrix, relative to max|A|
 _MIN_BLOCK_ROWS = 5  # the middle block row must carry the interior D^2 stencil
 _DEFAULT_SEED = 1234
+_log = logging.getLogger(__name__)
+# SuperLU options of the mode matrices only (see the module docstring).
+_MODE_SPLU_OPTIONS = {"panel_size": 1, "relax": 1}
 
 try:
     _malloc_trim = ctypes.CDLL(None).malloc_trim
@@ -94,6 +117,10 @@ try:
     _malloc_trim.restype = ctypes.c_int
 except (AttributeError, OSError, TypeError):  # not glibc
     _malloc_trim = None
+
+
+class _OffLayout(Exception):
+    """A matrix is not of the form of its recorded column blocks; the message says where."""
 
 
 @dataclass(frozen=True)
@@ -270,10 +297,15 @@ class LUFactors:
         return self._perm("perm_c")
 
 
-def _checked_splu(matrix: sps.spmatrix, threshold: float, what: str = "") -> spla.SuperLU:
-    """SuperLU factors of the matrix; SingularPivotError on a pivot <= threshold."""
+def _checked_splu(
+    matrix: sps.spmatrix, threshold: float, what: str = "", **options
+) -> spla.SuperLU:
+    """SuperLU factors of the matrix, ``options`` going to splu.
+
+    SingularPivotError on a pivot <= threshold.
+    """
     try:
-        lu = spla.splu(matrix.tocsc())
+        lu = spla.splu(matrix.tocsc(), **options)
     except RuntimeError as exc:  # SuperLU reports exact singularity this way
         raise SingularPivotError(f"SingularPivot: {exc}") from exc
     u_diag = np.abs(lu.U.diagonal())
@@ -326,7 +358,9 @@ def _factorize_modes(ny: int, x1, x2, x3):
             f"SingularPivot: row {r % x1.shape[0]} of cosine mode {r // x1.shape[0]} is zero"
         )
     row_scale = 1.0 / row_max
-    lu = _checked_splu(sps.diags(row_scale) @ b, _PIVOT_RTOL, " (row-scaled cosine modes)")
+    lu = _checked_splu(
+        sps.diags(row_scale) @ b, _PIVOT_RTOL, " (row-scaled cosine modes)", **_MODE_SPLU_OPTIONS
+    )
     return lu, row_scale
 
 
@@ -353,29 +387,37 @@ def _schur_complement(a_ii: sps.csr_matrix, blocks) -> np.ndarray:
 
     A_bb^-1 = (V (x) I) B^-1 (V^-1 (x) I), so its entry between position
     r of row j and position w of row j' is sum_p V[j, p] (B_p^-1)[r, w]
-    V^-1[p, j']; only the positions the interface reads and writes enter.
+    V^-1[p, j'].  For each read position r this is the ny x (ny W) array
+    V diag_p(B_p^-1[r, written]) V^-1, one GEMM; only the interface rows
+    that read r take it, and only through the written positions.
     """
     s = a_ii.toarray()
     for block in blocks:
         link = block.coupling["N"]
         eye = np.eye(block.ny)
         v, v_inv = block.inverse(eye), block.forward(eye)
-        w = link.w[:, link.read, :]  # (p, read, written)
-        inv = np.tensordot(v, w[..., None] * v_inv[:, None, None, :], axes=(1, 0))
-        inv = inv.transpose(0, 1, 3, 2).reshape(link.a_ib.shape[1], link.a_bi.shape[0])
-        s -= link.a_bi.T.dot((link.a_ib @ inv).T).T
+        n_read = len(link.read)
+        for k, r in enumerate(link.read):
+            a_ir = link.a_ib[:, k::n_read]  # interface x grid row, at position r
+            rows = np.flatnonzero(np.diff(a_ir.indptr))
+            inv = v @ (v_inv[:, :, None] * link.w[:, r, None, :]).reshape(block.ny, -1)
+            s[rows] -= link.a_bi.T.dot((a_ir[rows] @ inv).T).T
     return s
 
 
 def _factorize_interface(index: np.ndarray, s: np.ndarray) -> _Interface:
-    """Dense LU of the row-scaled Schur complement; SingularPivotError on a pivot <= 1e-14."""
-    row_max = np.abs(s).max(axis=1)
+    """Dense LU of the row-scaled Schur complement, scaling s in place.
+
+    SingularPivotError on a pivot <= 1e-14.
+    """
+    row_max = np.maximum(s.max(axis=1), -s.min(axis=1))
     if not (row_max > 0).all():
         raise SingularPivotError(
             f"SingularPivot: row {int(np.argmin(row_max))} of the interface Schur complement is zero"
         )
     row_scale = 1.0 / row_max
-    lu_piv = scipy.linalg.lu_factor(row_scale[:, None] * s)
+    s *= row_scale[:, None]
+    lu_piv = scipy.linalg.lu_factor(s)
     worst = float(np.abs(np.diag(lu_piv[0])).min())
     if not worst > _PIVOT_RTOL:
         raise SingularPivotError(
@@ -385,8 +427,8 @@ def _factorize_interface(index: np.ndarray, s: np.ndarray) -> _Interface:
     return _Interface(index, row_scale, lu_piv)
 
 
-def _separated(a: sps.csr_matrix, layout: ColumnBlocks) -> bool:
-    """True if the blocks and the interface partition the unknowns and no entry joins two blocks."""
+def _check_separated(a: sps.csr_matrix, layout: ColumnBlocks) -> None:
+    """_OffLayout unless blocks and interface partition the unknowns, none joined by an entry."""
     n = a.shape[0]
     label = np.full(n, -2)
     for k, b in enumerate(layout.blocks):
@@ -394,14 +436,19 @@ def _separated(a: sps.csr_matrix, layout: ColumnBlocks) -> bool:
     label[layout.interface] = -1
     sizes = sum(b.size for b in layout.blocks) + layout.interface.size
     if sizes != n or (label == -2).any():
-        return False
+        raise _OffLayout("the blocks and the interface do not partition the unknowns")
     coo = a.tocoo()
     rl, cl = label[coo.row], label[coo.col]
-    return not ((rl != cl) & (rl >= 0) & (cl >= 0)).any()
+    joins = np.flatnonzero((rl != cl) & (rl >= 0) & (cl >= 0))
+    if joins.size:
+        k = joins[0]
+        raise _OffLayout(
+            f"entry ({coo.row[k]}, {coo.col[k]}) joins block {rl[k]} to block {cl[k]}"
+        )
 
 
-def _factorize_blocks(a: sps.csr_matrix, a_max: float, layout: ColumnBlocks):
-    """Factors on the cosine-mode path, or None if A does not have the layout's form.
+def _factorize_blocks(a: sps.csr_matrix, a_max: float, layout: ColumnBlocks) -> LUFactors:
+    """Factors on the cosine-mode path; _OffLayout if A does not have the layout's form.
 
     The form: every unknown in one block or the interface, no entry between
     two blocks, and each block's diagonal part of the Kronecker form.
@@ -413,15 +460,15 @@ def _factorize_blocks(a: sps.csr_matrix, a_max: float, layout: ColumnBlocks):
         and not iface.size
         and np.array_equal(layout.blocks[0].ravel(), np.arange(n))
     )
-    if not (whole or _separated(a, layout)):
-        return None
+    if not whole:
+        _check_separated(a, layout)
     blocks = []
-    for b in layout.blocks:
+    for k, b in enumerate(layout.blocks):
         idx = b.ravel()
         a_bb = a if whole else a[idx][:, idx]
         parts = _kronecker_parts(a_bb, b.shape[0], a_max)
         if parts is None:
-            return None
+            raise _OffLayout(f"block {k} is off the Kronecker form")
         lu, row_scale = _factorize_modes(b.shape[0], *parts)
         weights = np.full(b.shape[0], 1.0 / (b.shape[0] - 1))
         weights[[0, -1]] /= 2.0
@@ -440,6 +487,8 @@ def lu_factorize(matrix: sps.spmatrix) -> LUFactors:
 
     A matrix with a recorded ``column_blocks`` layout that it fits takes the
     cosine-mode path, every other matrix SuperLU; see the module docstring.
+    A matrix whose recorded layout it does not fit is logged as a warning,
+    naming the reason, before it goes to SuperLU.
     """
     n, m = matrix.shape
     if n != m:
@@ -450,9 +499,10 @@ def lu_factorize(matrix: sps.spmatrix) -> LUFactors:
     a_max = abs(a).max() if a.nnz else 0.0
     layout = getattr(matrix, "column_blocks", None)
     if layout is not None:
-        factors = _factorize_blocks(a, a_max, layout)
-        if factors is not None:
-            return factors
+        try:
+            return _factorize_blocks(a, a_max, layout)
+        except _OffLayout as exc:
+            _log.warning("column blocks not used, factoring by SuperLU: %s", exc)
     return LUFactors(n=n, _lu=_checked_splu(a, _PIVOT_RTOL * a_max))
 
 

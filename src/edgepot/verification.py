@@ -171,9 +171,10 @@ def run_mms_convergence(
 
     Each mesh step replaces both ``disc.dx`` and ``disc.dy``.  ``source`` is
     a name of ``manufactured.SOURCES``; one without an exact solution or
-    without a source term is refused with a ConfigError, and so is a mode
-    other than 'strip'.  The single-field ``scheme`` is refused at eta = 0
-    with EtaZeroUndefinedError.
+    without a source term is refused with a ConfigError, and so are a mode
+    other than 'strip' and fewer than two distinct mesh steps, through which
+    no order can be fitted.  The single-field ``scheme`` is refused at
+    eta = 0 with EtaZeroUndefinedError.
     """
     _require_strip(disc, "mms-convergence")
     ms = SOURCES[source](phys)
@@ -181,6 +182,12 @@ def run_mms_convergence(
         raise ConfigError(
             [f"InvalidSource: {source!r} has no exact solution with a source term "
              "to converge to"]
+        )
+    distinct = len(set(deltas))
+    if distinct < 2:
+        raise ConfigError(
+            [f"InvalidGrids: mms-convergence fits an order through at least 2 distinct "
+             f"mesh steps, got {distinct}"]
         )
     rows = []
     for d in sorted(deltas, reverse=True):

@@ -282,6 +282,16 @@ def test_main_mms_convergence_refuses_source_without_exact_solution(tmp_path, ca
     assert not (tmp_path / "mms_convergence.csv").exists()
 
 
+def test_main_mms_convergence_refuses_one_grid(tmp_path, capsys):
+    code = main([
+        "mms-convergence", "--grids", "0.1", "--dt", "0.0005", "--T", "0.2",
+        "--outdir", str(tmp_path),
+    ])
+    assert code == 1  # a configuration error
+    assert "InvalidGrids" in capsys.readouterr().err
+    assert not (tmp_path / "mms_convergence.csv").exists()
+
+
 def test_main_mms_convergence_refuses_full_mode(tmp_path, capsys):
     code = main([
         "mms-convergence", "--mode", "full", "--l", "0.5", "--grids", "0.1,0.05",

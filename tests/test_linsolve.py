@@ -1,3 +1,6 @@
+import logging
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sps
@@ -328,10 +331,27 @@ def test_full_path_without_a_band_block(trans, refined_splu_solve):
     assert np.linalg.norm(x - ref) <= 1e-7 * np.linalg.norm(ref)
 
 
-def test_full_path_factors_are_the_stacked_pieces():
+def interface_reads(a, block):
+    """How many distinct in-row positions of the block each interface row reads."""
+    read = a[a.column_blocks.interface][:, block.ravel()].tocoo()  # (grid row, position) order
+    pairs = np.unique(np.stack([read.row, read.col % block.shape[1]]), axis=1)
+    return np.bincount(pairs[0], minlength=read.shape[0])
+
+
+@pytest.mark.parametrize(
+    "l,eta,scheme,L",
+    [(0.5, 1e-3, "ap", 0.4), (0.8, 1e-3, "ap", 0.4), (0.5, 0.0, "ap", 0.4),
+     (0.5, 1e-3, "naive", 0.4), (0.5, 1e-3, "ap", 0.45)],
+    ids=["l0.5", "l0.8", "eta0", "naive", "no_band_block"],
+)
+def test_full_path_factors_are_the_stacked_pieces(l, eta, scheme, L):
     # the interface piece factors the row-scaled Schur complement, formed here densely
-    a = full_system(0.05, 0.5, 1e-3, "ap").matrix
+    a = full_system(0.05, l, eta, scheme, L=L).matrix
+    # S is built one read position at a time: rows that read none and rows that read several
+    reads = interface_reads(a, a.column_blocks.blocks[0])
+    assert (reads == 0).any() and (reads > 1).any()
     f = lu_factorize(a)
+    assert len(f._modes) == len(a.column_blocks.blocks)
     iface = a.column_blocks.interface
     rest = np.setdiff1d(np.arange(a.shape[0]), iface)
     d = a.toarray()
@@ -362,16 +382,48 @@ def test_full_path_factors_small_eta_coupled_systems(eta, trans):
     assert backward_error(a if trans == "N" else a.T, x, b) <= 1e-12
 
 
-def test_full_path_falls_back_to_superlu_off_the_kronecker_form():
+def test_full_path_falls_back_to_superlu_off_the_kronecker_form(caplog):
     # a different weight on one band row's y-stencil breaks the form of the band block
     system = full_system(0.05, 0.5, 1e-3, "ap")
     a = system.matrix
     band = system.matrix.column_blocks.blocks[1]
     row = band[0, 0]
     a.data[a.indptr[row] : a.indptr[row + 1]] *= 1.5
-    f = lu_factorize(a)
+    with caplog.at_level(logging.WARNING, logger="edgepot.linsolve"):
+        f = lu_factorize(a)
     assert f._modes is None
+    assert [r.getMessage() for r in caplog.records] == [
+        "column blocks not used, factoring by SuperLU: block 1 is off the Kronecker form"
+    ]
     assert factor_residual(a, f) <= 1e-12 * np.abs(a.data).max()
+
+
+def test_full_path_falls_back_to_superlu_across_blocks(caplog):
+    # an entry from a gap row to a band column joins the two blocks
+    system = full_system(0.05, 0.5, 1e-3, "ap")
+    gap, band = system.matrix.column_blocks.blocks
+    a = system.matrix.tolil()
+    a[gap[0, 0], band[0, 0]] = 1.0
+    a = a.tocsr()
+    a.column_blocks = system.matrix.column_blocks
+    with caplog.at_level(logging.WARNING, logger="edgepot.linsolve"):
+        f = lu_factorize(a)
+    assert f._modes is None
+    assert "joins block 0 to block 1" in caplog.text
+
+
+def test_full_path_factorization_holds_little_beyond_its_factors():
+    # S takes 8 n_I^2 bytes; forming it through an n_I x (ny W) product takes 3 times that more
+    a = full_system(0.025, 0.5, 1e-3, "ap").matrix
+    n_i = len(a.column_blocks.interface)
+    tracemalloc.start()
+    try:
+        f = lu_factorize(a)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert f._interface is not None
+    assert peak - held <= 2 * 8 * n_i * n_i
 
 
 def test_full_path_refuses_a_singular_interface():

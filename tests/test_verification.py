@@ -149,6 +149,13 @@ def test_mms_convergence_single_field_matches_coupled():
     assert naive.order == pytest.approx(ap.order, rel=1e-8)
 
 
+@pytest.mark.parametrize("deltas", [[0.1], [0.05, 0.05]], ids=["one", "repeated"])
+def test_mms_convergence_refuses_fewer_than_two_mesh_steps(deltas):
+    # a slope through one point is undefined; refused before any grid runs
+    with pytest.raises(ConfigError, match="InvalidGrids.* got 1$"):
+        run_mms_convergence(PhysConfig(eta=1e-3, t_end=0.25), DISC, deltas)
+
+
 def test_mms_convergence_exposes_dt_floor():
     # coarse dt: halving dx leaves the error nearly unchanged
     study = run_mms_convergence(
