@@ -22,10 +22,12 @@ and one q-slot row: the coupling row D_xx phi - eta D_xx q = 0, except on
 the column x = -L where the gauge anchor q = 0 replaces it (D_xx and the
 face fluxes annihilate x-constants, so q is determined only up to a
 function of y; the anchor fixes it).  The ghost columns are closed by one
-flux-match row per face node, D_x phi = eta D_x q, and one sheath row
+flux-match row per face node, D_x phi = eta D_x q, and one sheath row.  On
+the face of side s (-1 at x = -L, +1 at x = +L) the sheath law asks for
+d_x q = ``sheath_law(s, phi)`` = -s (1 - exp(lambda - phi)); with the unit
+shift about phi^n its row is
 
-    west:  D_x q - phi^{n+1} = 1 - exp(lambda - phi^n) - phi^n
-    east:  D_x q + phi^{n+1} = -(1 - exp(lambda - phi^n)) + phi^n.
+    D_x q + s phi^{n+1} = -s (1 - exp(lambda - phi^n)) + s phi^n.
 
 Row r of the matrix is aligned with unknown r: evolution rows sit in the
 phi slots, coupling/anchor rows in the q slots, flux-match rows in the
@@ -36,8 +38,7 @@ eta > 0 the coupling row gives D_xx q = D_xx phi / eta and the flux-match
 row D_x q = D_x phi / eta, so the evolution x-term becomes
 -(1/eta) D_xx phi and the sheath row, multiplied by eta, becomes
 
-    west:  D_x phi - eta phi^{n+1} = eta (1 - exp(lambda - phi^n) - phi^n)
-    east:  D_x phi + eta phi^{n+1} = eta (-(1 - exp(lambda - phi^n)) + phi^n).
+    D_x phi + s eta phi^{n+1} = eta (-s (1 - exp(lambda - phi^n)) + s phi^n).
 
 Only the evolution and sheath rows remain, in the phi-only layout: every
 row and column index is the coupled slot // 2, the node ordinal.
@@ -56,6 +57,14 @@ from .errors import EtaZeroUndefinedError, NonFiniteSourceError, SingularStructu
 from .geometry import PHI, Q, DiscConfig, Grid, PhysConfig
 from .linsolve import ColumnBlocks
 from .stencils import dx_central_row, dxx_row, dyy_row, dyyyy_row
+
+
+SCHEMES = ("ap", "naive")
+
+
+def sheath_law(side, phi, lambda_ref: float):
+    """The d_x q that the sheath law asks for on face ``side`` (-1 west, +1 east)."""
+    return -side * (1.0 - np.exp(lambda_ref - phi))
 
 
 class RowKind(enum.IntEnum):
@@ -150,10 +159,9 @@ class System:
     src_x: np.ndarray  # x of the plasma columns, shape (1, nc)
     src_y: np.ndarray  # y of the plasma rows, shape (nr, 1)
     src_at: np.ndarray  # flat position of each plasma node in the nr x nc rectangle
-    west_rows: np.ndarray  # sheath row index per west face node
-    west_phi: np.ndarray  # slot of phi^n at the west face
-    east_rows: np.ndarray
-    east_phi: np.ndarray
+    sheath_rows: np.ndarray  # sheath row per face node, west face first
+    sheath_phi: np.ndarray  # slot of phi^n at each face node
+    sheath_side: np.ndarray  # -1 on the west face, +1 on the east
     face_y: np.ndarray  # y of each face row, the same on both faces
 
     def rows_of_kind(self, kind: RowKind) -> np.ndarray:
@@ -161,8 +169,8 @@ class System:
 
 
 def build_system(grid: Grid, phys: PhysConfig, disc: DiscConfig, scheme: str) -> System:
-    """Assemble the constant system of ``scheme`` ('ap' or 'naive')."""
-    if scheme not in ("ap", "naive"):
+    """Assemble the constant system of ``scheme`` (one of ``SCHEMES``)."""
+    if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
     eta, nu, dt = phys.eta, phys.nu, disc.dt
     ap = scheme == "ap"
@@ -173,7 +181,7 @@ def build_system(grid: Grid, phys: PhysConfig, disc: DiscConfig, scheme: str) ->
         )
     fold = 1 if ap else 2
     x_field, x_coef = (Q, -1.0) if ap else (PHI, -1.0 / eta)
-    sheath_field, sheath_phi = (Q, 1.0) if ap else (PHI, eta)
+    sheath_field, phi_coef = (Q, 1.0) if ap else (PHI, eta)
     N = grid.N
 
     k = grid.plasma_ordinals
@@ -190,18 +198,18 @@ def build_system(grid: Grid, phys: PhysConfig, disc: DiscConfig, scheme: str) ->
             (RowKind.COUPLING, 2 * k[c] + Q, coupling),
         ]
 
+    # both faces in one pass: face column I1 (side -1) or I2 (+1), ghost beyond it
     jf = np.asarray(grid.face_rows())
-    faces = []
-    for iface, ghost, sign in ((grid.I1, grid.I1 - 1, -1.0), (grid.I2, grid.I2 + 1, +1.0)):
-        if ap:
-            flux = dx_central_row(grid, PHI, iface, jf) + dx_central_row(grid, Q, iface, jf) * -eta
-            blocks.append((RowKind.FACE_FLUX_MATCH, grid.slot(PHI, ghost, jf), flux))
-        sheath_rows, face_phi = grid.slot(Q, ghost, jf), grid.slot(PHI, iface, jf)
-        sheath = dx_central_row(grid, sheath_field, iface, jf) + _select(
-            face_phi, N, sign * sheath_phi
-        )
-        blocks.append((RowKind.FACE_SHEATH, sheath_rows, sheath))
-        faces.append((sheath_rows // fold, face_phi // fold))
+    side = np.repeat([-1, 1], len(jf))
+    jj = np.tile(jf, 2)
+    col = np.where(side < 0, grid.I1, grid.I2)
+    ghost = col + side
+    if ap:
+        flux = dx_central_row(grid, PHI, col, jj) + dx_central_row(grid, Q, col, jj) * -eta
+        blocks.append((RowKind.FACE_FLUX_MATCH, grid.slot(PHI, ghost, jj), flux))
+    sheath_rows, face_phi = grid.slot(Q, ghost, jj), grid.slot(PHI, col, jj)
+    sheath = dx_central_row(grid, sheath_field, col, jj) + _select(face_phi, N, side * phi_coef)
+    blocks.append((RowKind.FACE_SHEATH, sheath_rows, sheath))
 
     n = N // fold
     kinds = np.zeros(n, dtype=np.uint8)
@@ -210,7 +218,6 @@ def build_system(grid: Grid, phys: PhysConfig, disc: DiscConfig, scheme: str) ->
     matrix = _place([(rows, op) for _, rows, op in blocks], n, fold)
     check_csr(matrix)
     matrix.column_blocks = _column_blocks(grid, fields=2 // fold)
-    (west_rows, west_phi), (east_rows, east_phi) = faces
     src_i, at_i = np.unique(i, return_inverse=True)
     src_j, at_j = np.unique(j, return_inverse=True)
     return System(
@@ -225,10 +232,9 @@ def build_system(grid: Grid, phys: PhysConfig, disc: DiscConfig, scheme: str) ->
         src_x=grid.x(src_i)[None, :],
         src_y=grid.y(src_j)[:, None],
         src_at=at_j * len(src_i) + at_i,
-        west_rows=west_rows,
-        west_phi=west_phi,
-        east_rows=east_rows,
-        east_phi=east_phi,
+        sheath_rows=sheath_rows // fold,
+        sheath_phi=face_phi // fold,
+        sheath_side=side,
         face_y=grid.y(jf),
     )
 
@@ -246,15 +252,6 @@ def _column_blocks(grid: Grid, fields: int) -> ColumnBlocks:
     )
 
 
-def _sheath_data(system: System, u_n: np.ndarray):
-    lam = system.phys.lambda_ref
-    pw = u_n[system.west_phi]
-    pe = u_n[system.east_phi]
-    west = 1.0 - np.exp(lam - pw) - pw
-    east = -(1.0 - np.exp(lam - pe)) + pe
-    return west, east
-
-
 def assemble_ap_rhs(system: System, state, forcing: Forcing) -> np.ndarray:
     """Right-hand side for the step from state.t to state.t + dt.
 
@@ -269,17 +266,15 @@ def assemble_ap_rhs(system: System, state, forcing: Forcing) -> np.ndarray:
         shape = (system.src_y.shape[0], system.src_x.shape[1])
         volume = np.broadcast_to(forcing.volume(t_next, system.src_x, system.src_y), shape)
         b[system.src_rows] += volume.reshape(-1)[system.src_at]
-    west, east = _sheath_data(system, state.u)
-    if forcing.sheath_west is not None:
-        west = west + forcing.sheath_west(t_next, system.face_y)
-    if forcing.sheath_east is not None:
-        east = east + forcing.sheath_east(t_next, system.face_y)
+    phi, side = state.u[system.sheath_phi], system.sheath_side
+    sheath = sheath_law(side, phi, system.phys.lambda_ref) + side * phi
+    nf = len(system.face_y)
+    for g, face in ((forcing.sheath_west, slice(nf)), (forcing.sheath_east, slice(nf, None))):
+        if g is not None:
+            sheath[face] += g(t_next, system.face_y)
     if system.scheme == "naive":
-        eta = system.phys.eta
-        west = eta * west
-        east = eta * east
-    b[system.west_rows] = west
-    b[system.east_rows] = east
+        sheath = system.phys.eta * sheath
+    b[system.sheath_rows] = sheath
     if not np.isfinite(b).all():
         raise NonFiniteSourceError(
             f"right-hand side not finite at t = {t_next} "
@@ -300,9 +295,6 @@ def micro_macro_deviation(grid: Grid, u: np.ndarray, eta: float) -> float:
 
 def write_matrix_market(matrix: sps.spmatrix, path) -> None:
     """Dump in MatrixMarket coordinate format (1-based, full precision)."""
-    coo = matrix.tocoo()
-    with open(path, "w") as fh:
-        fh.write("%%MatrixMarket matrix coordinate real general\n")
-        fh.write(f"{coo.shape[0]} {coo.shape[1]} {coo.nnz}\n")
-        for r, c, v in zip(coo.row, coo.col, coo.data):
-            fh.write(f"{r + 1} {c + 1} {float(v)!r}\n")
+    import scipy.io  # on first use: it adds about 1.5 MB resident to a run that never dumps
+
+    scipy.io.mmwrite(path, matrix, symmetry="general")

@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import verification
-from .assembly import build_system, write_matrix_market
+from .assembly import SCHEMES, build_system, write_matrix_market
 from .errors import (
     ConfigError,
     EdgepotError,
@@ -34,8 +34,6 @@ from .geometry import DiscConfig, PhysConfig, build_grid, validate_config
 from .manufactured import SOURCES, sheath_residuals
 from .timeloop import State, run
 from .verification import l2_norm, validate_compatibility
-
-SCHEMES = ("ap", "naive")
 
 
 class _Key(NamedTuple):

@@ -106,7 +106,8 @@ from .stencils import mirror_dyy
 _PIVOT_RTOL = 1e-14
 _KRON_RTOL = 1e-13  # rebuilt Kronecker form against the matrix, relative to max|A|
 _MIN_BLOCK_ROWS = 5  # the middle block row must carry the interior D^2 stencil
-_DEFAULT_SEED = 1234
+POWER_SEED = 1234  # seed of the start vectors of every power iteration
+_COND_TOL = 1e-4  # relative step at which the condition estimate stops
 _log = logging.getLogger(__name__)
 # SuperLU options of the mode matrices only (see the module docstring).
 _MODE_SPLU_OPTIONS = {"panel_size": 1, "relax": 1}
@@ -544,13 +545,11 @@ def lu_solve(factors: LUFactors, rhs: np.ndarray, trans: str = "N") -> np.ndarra
     return out
 
 
-def ruiz_scalings(
-    matrix: sps.spmatrix, iters: int = 20
-) -> tuple[np.ndarray, np.ndarray, sps.csr_matrix]:
+def ruiz_scalings(matrix: sps.spmatrix) -> tuple[np.ndarray, np.ndarray, sps.csr_matrix]:
     """Iterative 2-norm equilibration (Ruiz, RAL-TR-2001-034): returns (dr, dc, Dr A Dc).
 
-    Each sweep divides every row of Dr A Dc by the square root of its
-    2-norm, then every column.  The sums of squares of Dr A Dc are
+    Each of the 20 sweeps divides every row of Dr A Dc by the square root of
+    its 2-norm, then every column.  The sums of squares of Dr A Dc are
     dr^2 * (S dc^2) for the rows and dc^2 * (S^T dr^2) for the columns,
     with S = A o A the fixed matrix of squared entries, so a sweep is two
     sparse products with S (the second through its CSC view ``S.T``) and
@@ -564,7 +563,7 @@ def ruiz_scalings(
     n, m = b.shape
     dr = np.ones(n)
     dc = np.ones(m)
-    for _ in range(iters):
+    for _ in range(20):
         rn = (dr * dr * (b @ (dc * dc))) ** 0.25
         rn[rn == 0] = 1.0
         dr /= rn
@@ -582,9 +581,6 @@ class CondEstimate:
     converged: bool
     iterations_sigma_max: int
     iterations_sigma_min: int
-
-    def __float__(self):
-        return self.value
 
 
 def power_iteration(apply_op, n, rng, tol, max_iter):
@@ -614,25 +610,23 @@ def power_iteration(apply_op, n, rng, tol, max_iter):
 def estimate_cond2(
     matrix: sps.spmatrix,
     factors: LUFactors,
-    tol: float = 1e-4,
     max_iter: int = 10_000,
-    seed: int = _DEFAULT_SEED,
     equilibrate: bool = False,
 ) -> CondEstimate:
     """Euclidean condition number sigma_max / sigma_min of the matrix.
 
     Each power iteration stops once one iteration changes its estimate by
-    at most ``tol`` of itself; ``tol`` bounds that step, not the error.
-    The result is a lower bound: ||A^T A v|| <= sigma_max^2 and
-    ||(A^T A)^-1 v|| <= sigma_min^-2 for a unit v.  With the default tol,
-    against the dense SVD of the equilibrated matrix it reads 0.09-0.5% low
-    on the h = 0.05 and 0.025 strip and full (l = 0.5) grids, and 0.18-0.5%
-    low on the h = 0.0125 and 0.00625 benchmark systems against Lanczos
-    (``eigsh``, tol 1e-12) on B^T B and its inverse.
+    at most 1e-4 of itself; that bounds the step, not the error.  The
+    result is a lower bound: ||A^T A v|| <= sigma_max^2 and
+    ||(A^T A)^-1 v|| <= sigma_min^-2 for a unit v.  Against the dense SVD
+    of the equilibrated matrix it reads 0.09-0.5% low on the h = 0.05 and
+    0.025 strip and full (l = 0.5) grids, and 0.18-0.5% low on the
+    h = 0.0125 and 0.00625 benchmark systems against Lanczos (``eigsh``,
+    tol 1e-12) on B^T B and its inverse.
 
-    Deterministic for a fixed seed.  If the iteration cap is hit the value
-    is still returned, flagged with ``converged=False``; ``max_iter < 1``
-    raises ValueError.
+    Deterministic (seed ``POWER_SEED``).  If the iteration cap is hit the
+    value is still returned, flagged with ``converged=False``;
+    ``max_iter < 1`` raises ValueError.
     """
     n = matrix.shape[0]
     a = matrix.tocsr()
@@ -649,9 +643,9 @@ def estimate_cond2(
         y = (1.0 / dr) * lu_solve(factors, v / dc, trans="T")
         return (1.0 / dc) * lu_solve(factors, y / dr)
 
-    rng = np.random.default_rng(seed)
-    smax2, k1, ok1 = power_iteration(fwd, n, rng, tol, max_iter)
-    sinv2, k2, ok2 = power_iteration(inv, n, rng, tol, max_iter)
+    rng = np.random.default_rng(POWER_SEED)
+    smax2, k1, ok1 = power_iteration(fwd, n, rng, _COND_TOL, max_iter)
+    sinv2, k2, ok2 = power_iteration(inv, n, rng, _COND_TOL, max_iter)
     return CondEstimate(
         value=float(np.sqrt(smax2) * np.sqrt(sinv2)),
         converged=ok1 and ok2,

@@ -36,7 +36,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .assembly import ZERO_FORCING, Forcing
+from .assembly import ZERO_FORCING, Forcing, sheath_law
 from .errors import LogDomainError
 from .geometry import PhysConfig
 
@@ -208,27 +208,26 @@ def literal_mms(eta: float, lambda_ref: float) -> ManufacturedSolution:
 def smooth_mms(eta: float, nu: float, lambda_ref: float, L: float = 0.4) -> ManufacturedSolution:
     """Smooth fallback with manufactured sheath data on the faces.
 
-    The sheath conditions become d_x q = (1 - e^{lambda - phi}) + g_w on the
-    west face and d_x q = -(1 - e^{lambda - phi}) + g_e on the east face,
-    with g chosen so the smooth field is the exact solution.
+    The sheath condition on the face of side s (-1 west, +1 east) becomes
+    d_x q = sheath_law(s, phi) + g_s, with g_s chosen so the smooth field is
+    the exact solution.
     """
 
     def q_x(t, x, y):
         return -t * t * np.cos(np.pi * y) * _KX * np.sin(_KX * x)
 
-    def g_west(t, y):
-        phi_w = smooth_phi(t, -L, y, eta, lambda_ref)
-        return q_x(t, -L, y) - (1.0 - np.exp(lambda_ref - phi_w))
+    def g(side):
+        def data(t, y):
+            phi = smooth_phi(t, side * L, y, eta, lambda_ref)
+            return q_x(t, side * L, y) - sheath_law(side, phi, lambda_ref)
 
-    def g_east(t, y):
-        phi_e = smooth_phi(t, L, y, eta, lambda_ref)
-        return q_x(t, L, y) + (1.0 - np.exp(lambda_ref - phi_e))
+        return data
 
     return ManufacturedSolution(
         forcing=Forcing(
             volume=lambda t, x, y: smooth_source(t, x, y, eta, nu),
-            sheath_west=g_west,
-            sheath_east=g_east,
+            sheath_west=g(-1),
+            sheath_east=g(+1),
         ),
         phi_ini=_constant(lambda_ref),
         phi=lambda t, x, y: smooth_phi(t, x, y, eta, lambda_ref),
@@ -257,21 +256,17 @@ def sheath_residuals(
 ) -> tuple[float, float]:
     """Max sheath-law residual of an exact solution on the two faces.
 
-    Measured in the micro form d_x q -+ (1 - e^{lambda - phi}) = 0, which is
+    Measured in the micro form d_x q - sheath_law(side, phi) = 0, which is
     eta-free; manufactured sheath data of the bundle is honoured, so a
     solution with corrections reports zero as well.
     """
     t = np.asarray(times, dtype=float)[:, None]
     y = np.asarray(ys, dtype=float)[None, :]
-    phi_w = ms.phi(t, -L, y)
-    phi_e = ms.phi(t, L, y)
-    sheath_w = 1.0 - np.exp(lambda_ref - phi_w)
-    sheath_e = -(1.0 - np.exp(lambda_ref - phi_e))
     forcing = ms.forcing or ZERO_FORCING
-    if forcing.sheath_west is not None:
-        sheath_w = sheath_w + forcing.sheath_west(t, y)
-    if forcing.sheath_east is not None:
-        sheath_e = sheath_e + forcing.sheath_east(t, y)
-    res_w = np.abs(ms.q_x(t, -L, y) - sheath_w).max()
-    res_e = np.abs(ms.q_x(t, L, y) - sheath_e).max()
-    return float(res_w), float(res_e)
+    res = []
+    for side, g in ((-1, forcing.sheath_west), (+1, forcing.sheath_east)):
+        law = sheath_law(side, ms.phi(t, side * L, y), lambda_ref)
+        if g is not None:
+            law = law + g(t, y)
+        res.append(float(np.abs(ms.q_x(t, side * L, y) - law).max()))
+    return res[0], res[1]

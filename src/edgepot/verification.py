@@ -39,6 +39,7 @@ from .assembly import System, build_system
 from .errors import ConfigError, SingularPivotError
 from .geometry import DiscConfig, Grid, PhysConfig, build_grid
 from .linsolve import (
+    POWER_SEED,
     CondEstimate,
     LUFactors,
     estimate_cond2,
@@ -76,25 +77,20 @@ def time_norms(values: Sequence[float], dt: float) -> tuple[float, float]:
 
 
 class TimeNormObserver:
-    """Per-step L2(Omega) distance to a reference, for norms in time.
+    """Per-step L2(Omega) norm of phi, for norms in time.
 
     The initial state (n = 0) is skipped: the accumulators feed the
     rectangle rule with right endpoints, matching the first-order stepper.
     """
 
-    def __init__(self, grid: Grid, reference: Optional[Callable] = None):
+    def __init__(self, grid: Grid):
         self.grid = grid
-        self.reference = reference
         self.values: list[float] = []
-        self._x, self._y = grid.node_coords()
 
     def __call__(self, state: State) -> None:
         if state.n == 0:
             return
-        phi = state.phi
-        if self.reference is not None:
-            phi = phi - self.reference(state.t, self._x, self._y)
-        self.values.append(l2_norm(self.grid, phi))
+        self.values.append(l2_norm(self.grid, state.phi))
 
     def norms(self, dt: float) -> tuple[float, float]:
         return time_norms(self.values, dt)
@@ -280,7 +276,6 @@ def run_condition_study(
 
 _AMPLIFICATION_TOL = 1e-10
 _AMPLIFICATION_MAX_ITER = 10_000
-_AMPLIFICATION_SEED = 1234
 
 
 @dataclass(frozen=True)
@@ -288,9 +283,6 @@ class AmplificationEstimate:
     value: float
     converged: bool
     iterations: int
-
-    def __float__(self):
-        return self.value
 
 
 def amplification_factor(system: System, factors: LUFactors) -> AmplificationEstimate:
@@ -306,7 +298,7 @@ def amplification_factor(system: System, factors: LUFactors) -> AmplificationEst
     1e-10 of itself.  Deterministic; if 10^4 iterations do not converge the
     value is returned with ``converged=False``.
     """
-    rng = np.random.default_rng(_AMPLIFICATION_SEED)
+    rng = np.random.default_rng(POWER_SEED)
     rho, k, ok = power_iteration(
         lambda v: lu_solve(factors, system.prev_op @ v),
         system.matrix.shape[0],
@@ -318,6 +310,9 @@ def amplification_factor(system: System, factors: LUFactors) -> AmplificationEst
 
 
 # ---- compatibility of the initial data --------------------------------
+
+
+_COMPAT_POINTS = 401  # quadrature points per direction
 
 
 @dataclass(frozen=True)
@@ -332,8 +327,6 @@ def validate_compatibility(
     phys: PhysConfig,
     phi_ini: Callable,
     source: Optional[Callable],
-    n_quad: int = 401,
-    rtol: float = 1e-6,
 ) -> CompatibilityReport:
     """Check the initial compatibility between source, data and sheath.
 
@@ -342,13 +335,13 @@ def validate_compatibility(
         int_Omega S|_{t=0}  ==  nu int_Omega d_y^4 phi_ini
                                 + 2 int_0^l (1 - e^{lambda - phi_ini|x=L}) dy
 
-    and warns (advisory only) when the mismatch exceeds rtol * max(1, |lhs|).
-    The fourth y-derivative of the callable is formed by centred second-order
-    differences on the quadrature grid.
+    on 401 x 401 points, and warns (advisory only) when the mismatch exceeds
+    1e-6 max(1, |lhs|).  The fourth y-derivative of the callable is formed
+    by centred second-order differences on the quadrature grid.
     """
     L, l, lam, nu = phys.L, phys.limiter_height, phys.lambda_ref, phys.nu
-    xs = np.linspace(-L, L, n_quad)
-    ys = np.linspace(0.0, 1.0, n_quad)
+    xs = np.linspace(-L, L, _COMPAT_POINTS)
+    ys = np.linspace(0.0, 1.0, _COMPAT_POINTS)
     X, Y = np.meshgrid(xs, ys, indexing="ij")
 
     if source is None:
@@ -361,7 +354,7 @@ def validate_compatibility(
     f = np.broadcast_to(np.asarray(phi_ini(X, Y), dtype=float), X.shape).copy()
     f -= f.mean()  # offsets are annihilated analytically; avoid 1/h^4 cancellation
     # D^2 along y, D closed at the walls by the solver's mirror rule
-    d = mirror_dyy(n_quad)
+    d = mirror_dyy(_COMPAT_POINTS)
     d4 = (d @ d @ f.T).T / h**4
     rhs = nu * float(np.trapezoid(np.trapezoid(d4, ys, axis=1), xs))
 
@@ -373,7 +366,7 @@ def validate_compatibility(
     rhs += 2.0 * float(np.trapezoid(1.0 - np.exp(lam - phi_face), ys_face))
 
     mismatch = abs(lhs - rhs)
-    ok = mismatch <= rtol * max(1.0, abs(lhs))
+    ok = mismatch <= 1e-6 * max(1.0, abs(lhs))
     if not ok:
         warnings.warn(
             f"initial data incompatible with the source: |lhs - rhs| = {mismatch:.3e}",

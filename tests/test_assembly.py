@@ -108,8 +108,8 @@ def test_rhs_sheath_values_from_previous_state():
     state = init_state(grid, phys, lambda x, y: np.ones_like(x))
     b = assemble_ap_rhs(system, state, ZERO_FORCING)
     # west: 1 - exp(1 - 1) - 1 = -1; east: -(1 - exp(0)) + 1 = +1
-    assert b[system.west_rows] == pytest.approx(-1.0)
-    assert b[system.east_rows] == pytest.approx(1.0)
+    assert b[system.sheath_rows[system.sheath_side < 0]] == pytest.approx(-1.0)
+    assert b[system.sheath_rows[system.sheath_side > 0]] == pytest.approx(1.0)
     coupling = system.rows_of_kind(RowKind.COUPLING)
     anchor = system.rows_of_kind(RowKind.ANCHOR)
     flux = system.rows_of_kind(RowKind.FACE_FLUX_MATCH)
@@ -123,7 +123,7 @@ def test_naive_rhs_scaled_by_eta():
     system = build_system(grid, phys, disc, "naive")
     state = init_state(grid, phys, lambda x, y: np.ones_like(x), scheme="naive")
     b = assemble_ap_rhs(system, state, ZERO_FORCING)
-    assert b[system.west_rows] == pytest.approx(-0.00036787944117144236)
+    assert b[system.sheath_rows[system.sheath_side < 0]] == pytest.approx(-0.00036787944117144236)
 
 
 def test_evolution_rhs_shared_between_schemes():
@@ -212,6 +212,39 @@ def test_rhs_broadcasts_scalar_and_y_only_sources(geometry, scheme):
     assert np.all(b[rows] == 2.0 * (0.5 + system.disc.dt))
     b = assemble_ap_rhs(system, state, Forcing(volume=lambda t, x, y: np.cos(np.pi * y)))
     assert np.array_equal(b[rows], np.cos(np.pi * y_of_row[rows]))
+
+
+@pytest.mark.parametrize("geometry", ["strip L=0.4", "full l=0.5"])
+@pytest.mark.parametrize("scheme", ["ap", "naive"])
+def test_sheath_rows_follow_the_sheath_law_on_both_faces(geometry, scheme):
+    phys_kw, disc_kw = RHS_GEOMETRIES[geometry]
+    phys = PhysConfig(eta=1e-3, lambda_ref=0.3, **phys_kw)
+    disc = DiscConfig(dt=1e-3, **disc_kw)
+    grid = build_grid(phys, disc)
+    system = build_system(grid, phys, disc, scheme)
+    forcing = SOURCES["smooth_mms"](phys).forcing
+    u = phys.lambda_ref + 0.5 * np.random.default_rng(11).standard_normal(system.matrix.shape[0])
+    state = State(t=0.37, n=0, u=u, grid=grid, scheme=scheme)
+    b = assemble_ap_rhs(system, state, forcing)
+
+    lam, t = phys.lambda_ref, state.t + disc.dt
+    jf = np.asarray(grid.face_rows())
+    y = grid.y(jf)
+    fold, scale = (1, 1.0) if scheme == "ap" else (2, phys.eta)
+    for col, ghost, sign, g in (
+        (grid.I1, grid.I1 - 1, -1.0, forcing.sheath_west),
+        (grid.I2, grid.I2 + 1, +1.0, forcing.sheath_east),
+    ):
+        rows = grid.slot(Q, ghost, jf) // fold
+        phi_slots = grid.slot(PHI, col, jf) // fold
+        phi = u[phi_slots]
+        if sign < 0:
+            data = 1.0 - np.exp(lam - phi) - phi + g(t, y)
+        else:
+            data = -(1.0 - np.exp(lam - phi)) + phi + g(t, y)
+        assert np.array_equal(b[rows], scale * data)
+        entries = np.asarray(system.matrix[rows, phi_slots]).ravel()
+        assert np.array_equal(entries, np.full(len(jf), sign * scale))
 
 
 def test_rhs_rejects_non_finite_source():
