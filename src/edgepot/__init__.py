@@ -20,6 +20,7 @@ from .assembly import (
     write_matrix_market,
 )
 from .geometry import (
+    ColumnBlocks,
     DiscConfig,
     Grid,
     PhysConfig,
@@ -28,7 +29,6 @@ from .geometry import (
     validate_config,
 )
 from .linsolve import (
-    ColumnBlocks,
     CondEstimate,
     LUFactors,
     estimate_cond2,

@@ -55,7 +55,6 @@ import scipy.sparse as sps
 
 from .errors import EtaZeroUndefinedError, NonFiniteSourceError, SingularStructureError
 from .geometry import PHI, Q, DiscConfig, Grid, PhysConfig
-from .linsolve import ColumnBlocks
 from .stencils import dx_central_row, dxx_row, dyy_row, dyyyy_row
 
 
@@ -77,7 +76,7 @@ class RowKind(enum.IntEnum):
 
 @dataclass(frozen=True)
 class Forcing:
-    """Volume source S(t, x, y) plus optional manufactured sheath data g(t, y).
+    """Volume source S(t, x, y) plus optional manufactured sheath data g(t, side, y).
 
     ``assemble_ap_rhs`` calls ``volume(t, x, y)`` once per step with x of
     shape (1, nc), the x of the plasma columns, and y of shape (nr, 1), the
@@ -85,15 +84,16 @@ class Forcing:
     that broadcasts to (nr, nc), a scalar or a y-only column included, is
     taken at the plasma nodes.
 
-    The sheath corrections are additive right-hand-side data for the face
-    conditions (in the q-form for the coupled scheme, scaled by eta for the
-    single-field one).  They are zero for the physical model and only set
-    by manufactured solutions that do not satisfy the sheath law exactly.
+    ``sheath(t, side, y)`` is additive right-hand-side data for the sheath
+    rows (in the q-form for the coupled scheme, scaled by eta for the
+    single-field one), called once per step with one side (-1 west, +1
+    east) and one y per sheath row.  It is None for the physical model and
+    only set by manufactured solutions that do not satisfy the sheath law
+    exactly.
     """
 
     volume: Optional[Callable] = None
-    sheath_west: Optional[Callable] = None
-    sheath_east: Optional[Callable] = None
+    sheath: Optional[Callable] = None
 
 
 ZERO_FORCING = Forcing()
@@ -144,7 +144,7 @@ class System:
     Row r of ``matrix`` carries the equation tagged ``row_kinds[r]``; the
     index arrays locate the rows and unknowns the per-step right-hand side
     touches, in the scheme's own layout.  ``matrix.column_blocks`` records
-    the grid's column blocks and interface (`linsolve.ColumnBlocks`) in
+    the grid's column blocks and interface (`geometry.ColumnBlocks`) in
     that layout, for `linsolve.lu_factorize`.
     """
 
@@ -162,7 +162,7 @@ class System:
     sheath_rows: np.ndarray  # sheath row per face node, west face first
     sheath_phi: np.ndarray  # slot of phi^n at each face node
     sheath_side: np.ndarray  # -1 on the west face, +1 on the east
-    face_y: np.ndarray  # y of each face row, the same on both faces
+    sheath_y: np.ndarray  # y of each sheath row
 
     def rows_of_kind(self, kind: RowKind) -> np.ndarray:
         return np.flatnonzero(self.row_kinds == int(kind))
@@ -217,7 +217,7 @@ def build_system(grid: Grid, phys: PhysConfig, disc: DiscConfig, scheme: str) ->
         kinds[rows // fold] = kind
     matrix = _place([(rows, op) for _, rows, op in blocks], n, fold)
     check_csr(matrix)
-    matrix.column_blocks = _column_blocks(grid, fields=2 // fold)
+    matrix.column_blocks = grid.column_blocks(fields=2 // fold)
     src_i, at_i = np.unique(i, return_inverse=True)
     src_j, at_j = np.unique(j, return_inverse=True)
     return System(
@@ -235,20 +235,7 @@ def build_system(grid: Grid, phys: PhysConfig, disc: DiscConfig, scheme: str) ->
         sheath_rows=sheath_rows // fold,
         sheath_phi=face_phi // fold,
         sheath_side=side,
-        face_y=grid.y(jf),
-    )
-
-
-def _column_blocks(grid: Grid, fields: int) -> ColumnBlocks:
-    """The grid's column blocks and interface as unknown indices (``fields`` per node)."""
-
-    def unknowns(ordinals):
-        return fields * ordinals[..., None] + np.arange(fields)
-
-    blocks, interface = grid.column_blocks()
-    return ColumnBlocks(
-        blocks=tuple(unknowns(b).reshape(len(b), -1) for b in blocks),
-        interface=unknowns(interface).ravel(),
+        sheath_y=grid.y(jj),
     )
 
 
@@ -268,10 +255,8 @@ def assemble_ap_rhs(system: System, state, forcing: Forcing) -> np.ndarray:
         b[system.src_rows] += volume.reshape(-1)[system.src_at]
     phi, side = state.u[system.sheath_phi], system.sheath_side
     sheath = sheath_law(side, phi, system.phys.lambda_ref) + side * phi
-    nf = len(system.face_y)
-    for g, face in ((forcing.sheath_west, slice(nf)), (forcing.sheath_east, slice(nf, None))):
-        if g is not None:
-            sheath[face] += g(t_next, system.face_y)
+    if forcing.sheath is not None:
+        sheath += forcing.sheath(t_next, side, system.sheath_y)
     if system.scheme == "naive":
         sheath = system.phys.eta * sheath
     b[system.sheath_rows] = sheath

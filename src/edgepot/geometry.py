@@ -125,6 +125,21 @@ def validate_config(phys: PhysConfig, disc: DiscConfig) -> tuple[PhysConfig, Dis
     return phys, disc
 
 
+@dataclass(frozen=True)
+class ColumnBlocks:
+    """Column blocks and interface of a grid's unknowns.
+
+    ``blocks[b][j, k]`` is the unknown at position k of grid row j of block
+    b; every row of a block holds the same positions.  ``interface`` lists
+    every other unknown.  `assembly.build_system` records this on the
+    matrix it returns, as ``matrix.column_blocks``, for
+    `linsolve.lu_factorize`.
+    """
+
+    blocks: tuple[np.ndarray, ...]
+    interface: np.ndarray
+
+
 class Grid:
     """Immutable mesh with a flat unknown layout.
 
@@ -254,11 +269,13 @@ class Grid:
         """Ordinals of the plasma (non-ghost) nodes, in enumeration order."""
         return self._plasma_ordinals
 
-    def column_blocks(self) -> tuple[list[np.ndarray], np.ndarray]:
-        """Ordinals of the column blocks, each (rows, columns), and of the interface.
+    def column_blocks(self, fields: int) -> ColumnBlocks:
+        """The column blocks and interface, as indices of ``fields`` unknowns per node.
 
-        On the strip one block holds every node.  In full geometry the
-        interface is the columns I1 - 1, I1 and I2 + 1 on every row; the
+        Node ordinal k holds unknowns ``fields * k + field``, the rule of
+        `slot` (fields = 2 for the coupled layout, 1 for the single-field
+        one).  On the strip one block holds every node.  In full geometry
+        the interface is the columns I1 - 1, I1 and I2 + 1 on every row; the
         blocks are the gap columns I1 + 1 .. I2 on every row and the band
         columns I2 + 2 .. I1 - 2, wrapping through the seam, on the rows
         j_l .. Ny - 1.  When I1 = 1 the band block is empty, and on the band
@@ -266,13 +283,23 @@ class Grid:
         the two blocks.
         """
         if self.mode == "strip":
-            return [np.arange(len(self.phi_nodes)).reshape(self.Ny, -1)], np.empty(0, np.intp)
-        rows = np.arange(self.Ny)[:, None]
-        gap = self.ordinal(np.arange(self.I1 + 1, self.I2 + 1)[None, :], rows)
-        chain = np.arange(self.I2 + 2, self.n_band_cols + self.I1 - 1) % self.n_band_cols
-        interface = self.ordinal(np.array([[self.I1 - 1, self.I1, self.I2 + 1]]), rows)
-        blocks = [gap, self.ordinal(chain[None, :], rows[self.j_l :])] if chain.size else [gap]
-        return blocks, np.unique(interface)
+            blocks = [np.arange(len(self.phi_nodes)).reshape(self.Ny, -1)]
+            interface = np.empty(0, np.intp)
+        else:
+            rows = np.arange(self.Ny)[:, None]
+            gap = self.ordinal(np.arange(self.I1 + 1, self.I2 + 1)[None, :], rows)
+            chain = np.arange(self.I2 + 2, self.n_band_cols + self.I1 - 1) % self.n_band_cols
+            edges = np.array([[self.I1 - 1, self.I1, self.I2 + 1]])
+            interface = np.unique(self.ordinal(edges, rows))
+            blocks = [gap, self.ordinal(chain[None, :], rows[self.j_l :])] if chain.size else [gap]
+
+        def unknowns(ordinals):
+            return fields * ordinals[..., None] + np.arange(fields)
+
+        return ColumnBlocks(
+            blocks=tuple(unknowns(b).reshape(len(b), -1) for b in blocks),
+            interface=unknowns(interface).ravel(),
+        )
 
     def row_spread(self, values: np.ndarray, nodes) -> float:
         """Max over grid rows of max - min of ``values`` at the ordinals ``nodes``.

@@ -1,9 +1,15 @@
 """Sparse LU factorization, triangular solves and a 2-norm condition estimator.
 
 `lu_factorize` takes one of two paths.  `assembly.build_system` records on
-the matrix it returns where its unknowns sit (`ColumnBlocks`, as
+the matrix it returns where its unknowns sit (`geometry.ColumnBlocks`, as
 ``matrix.column_blocks``): column blocks, each holding the same positions
 on every grid row it spans, and an interface of the remaining unknowns.
+The `LUFactors` it returns hold what the path factored: ``pieces``, the
+SuperLU factors of the whole matrix or one set of cosine-mode factors per
+column block, and ``interface``, the dense Schur-complement factors or
+None.  ``L`` and ``U`` stack the pieces' triangular factors and the
+interface's, so their nnz is the fill; the cosine-mode path has no
+permutations of A.
 
 * **cosine-mode path.**  A block whose diagonal part has the Kronecker form
 
@@ -36,9 +42,11 @@ on every grid row it spans, and an interface of the remaining unknowns.
     The anchor column I1 must be in the interface: without it the gap
     block's cosine mode 0 carries no phi in its evolution rows and is
     singular.
-  A matrix that does not have its recorded form (an entry between two
-  blocks, or a block off the Kronecker form) falls back to SuperLU, with a
-  warning on this module's logger that names the reason.
+  A matrix that does not have its recorded form (blocks and interface
+  that do not partition the unknowns, a layout without an interface that
+  is not one block of every unknown in order, an entry between two blocks,
+  or a block off the Kronecker form) falls back to SuperLU, with a warning
+  on this module's logger that names the reason.
 * **SuperLU path.**  Any other matrix (one without a recorded layout, test
   matrices) is factored as it stands by SuperLU
   (scipy.sparse.linalg.splu) with threshold partial pivoting; the factors
@@ -101,6 +109,7 @@ import scipy.sparse as sps
 import scipy.sparse.linalg as spla
 
 from .errors import DimensionMismatchError, SingularPivotError
+from .geometry import ColumnBlocks
 from .stencils import mirror_dyy
 
 _PIVOT_RTOL = 1e-14
@@ -125,20 +134,6 @@ class _OffLayout(Exception):
 
 
 @dataclass(frozen=True)
-class ColumnBlocks:
-    """Column blocks and interface of a grid's unknowns.
-
-    ``blocks[b][j, k]`` is the unknown at position k of grid row j of block
-    b; every row of a block holds the same positions.  ``interface`` lists
-    every other unknown.  `assembly.build_system` records this on the
-    matrix it returns, as ``matrix.column_blocks``.
-    """
-
-    blocks: tuple[np.ndarray, ...]
-    interface: np.ndarray
-
-
-@dataclass(frozen=True)
 class _Coupling:
     """A block's coupling to the interface, in a solve with A or with A^T.
 
@@ -160,7 +155,7 @@ class _Coupling:
 class _CosineModes:
     """One column block: its cosine transform and the factors of the scaled B."""
 
-    index: Optional[np.ndarray]  # (ny, m) unknowns; None: every unknown, in order
+    index: np.ndarray  # (ny, m) unknowns
     weights: np.ndarray  # (1, 2, ..., 2, 1) / (2 (ny - 1)): V^-1 = diag(weights) DCT-I
     row_scale: np.ndarray  # 1 / (row max of B), aligned with the rows of B
     lu: spla.SuperLU
@@ -184,9 +179,6 @@ class _CosineModes:
     def from_modes(self, c: np.ndarray, trans: str) -> np.ndarray:
         return self.inverse(c) if trans == "N" else self.forward(c)
 
-    def gather(self, v: np.ndarray) -> np.ndarray:
-        return v.reshape(self.ny, -1) if self.index is None else v[self.index]
-
     def mode_solve(self, u: np.ndarray, trans: str) -> np.ndarray:
         """B^-1 (V^-1 (x) I) u, or B^-T (V (x) I) u for trans 'T', laid out as u."""
         if trans == "N":
@@ -194,6 +186,11 @@ class _CosineModes:
         else:
             c = self.row_scale * self.lu.solve(self.inverse(u).ravel(), trans=trans)
         return c.reshape(u.shape)
+
+    def solve(self, rhs: np.ndarray, trans: str) -> np.ndarray:
+        """A_bb^-1 rhs (A_bb^-T rhs for trans 'T'), for a block of every unknown in order."""
+        c = self.mode_solve(rhs.reshape(self.ny, -1), trans)
+        return self.from_modes(c, trans).ravel()
 
     def inverse_columns(self, positions: np.ndarray, trans: str) -> np.ndarray:
         """(ny, m, len(positions)): columns ``positions`` of B_p^-1 (or B_p^-T) per mode p."""
@@ -210,11 +207,7 @@ class _CosineModes:
 
 @dataclass(frozen=True)
 class _Interface:
-    """Interface unknowns and the dense LU factors of the row-scaled Schur complement.
-
-    ``L``, ``U``, ``perm_r`` and ``perm_c`` satisfy Pr D S Pc = L U, as for
-    SuperLU; L and U keep every stored entry, zeros included.
-    """
+    """Interface unknowns and the dense LU factors of the row-scaled Schur complement."""
 
     index: np.ndarray
     row_scale: np.ndarray  # D = diag(1 / row max of S)
@@ -225,77 +218,42 @@ class _Interface:
             return scipy.linalg.lu_solve(self.lu_piv, self.row_scale * g)
         return self.row_scale * scipy.linalg.lu_solve(self.lu_piv, g, trans=1)
 
-    @property
-    def L(self) -> sps.csr_matrix:
-        n = len(self.index)
-        r, c = np.tril_indices(n)
-        return sps.csr_matrix((np.where(r == c, 1.0, self.lu_piv[0][r, c]), (r, c)), shape=(n, n))
 
-    @property
-    def U(self) -> sps.csr_matrix:
-        n = len(self.index)
-        r, c = np.triu_indices(n)
-        return sps.csr_matrix((self.lu_piv[0][r, c], (r, c)), shape=(n, n))
-
-    @property
-    def perm_r(self) -> np.ndarray:
-        order = np.arange(len(self.index))
-        for k, p in enumerate(self.lu_piv[1]):  # LAPACK row swaps, applied in turn
-            order[[k, p]] = order[[p, k]]
-        return np.argsort(order)
-
-    @property
-    def perm_c(self) -> np.ndarray:
-        return np.arange(len(self.index))
-
-
-@dataclass
+@dataclass(frozen=True)
 class LUFactors:
-    """Immutable after construction; concurrent solves are read-only.
+    """What a factorization holds; immutable, so concurrent solves are read-only.
 
-    On the SuperLU path ``L``, ``U``, ``perm_r`` and ``perm_c`` satisfy
-    Pr A Pc = L U.  On the cosine-mode path they are the block-diagonal
-    stack of the factors of each block's row-scaled mode matrix R B
-    (B = blockdiag_k(X1 + mu_k X2 + mu_k^2 X3)) and, with an interface, of
-    the row-scaled Schur complement D S; A itself is never factored there.
+    ``pieces`` is either the SuperLU factors of the whole matrix, with
+    Pr A Pc = L U, or one `_CosineModes` per column block.  ``interface``
+    holds the dense factors of the row-scaled Schur complement, or None.
+    ``L`` and ``U`` stack each piece's factors (each block's row-scaled mode
+    matrix R B, B = blockdiag_k(X1 + mu_k X2 + mu_k^2 X3)) and then the
+    interface's unit-lower and upper triangles, every stored entry kept,
+    so their nnz is the fill; on the cosine-mode path they are not factors
+    of A, which is never factored there.
     """
 
     n: int
-    _lu: Optional[spla.SuperLU] = None
-    _modes: Optional[tuple[_CosineModes, ...]] = None
-    _interface: Optional[_Interface] = None
+    pieces: tuple
+    interface: Optional[_Interface] = None
 
-    def _parts(self, name: str) -> list:
-        """Attribute ``name`` of each piece: the SuperLU factors, then the interface."""
-        pieces = [self._lu] if self._modes is None else [block.lu for block in self._modes]
-        if self._interface is not None:
-            pieces.append(self._interface)
-        return [getattr(piece, name) for piece in pieces]
-
-    def _stacked(self, name: str) -> sps.csr_matrix:
-        parts = self._parts(name)
+    def _stacked(self, lower: bool) -> sps.csr_matrix:
+        lus = [p.lu if isinstance(p, _CosineModes) else p for p in self.pieces]
+        parts = [lu.L if lower else lu.U for lu in lus]
+        if self.interface is not None:
+            lu = self.interface.lu_piv[0]
+            r, c = np.tril_indices(len(lu)) if lower else np.triu_indices(len(lu))
+            values = np.where(r == c, 1.0, lu[r, c]) if lower else lu[r, c]
+            parts.append(sps.csr_matrix((values, (r, c)), shape=lu.shape))
         return parts[0].tocsr() if len(parts) == 1 else sps.block_diag(parts, format="csr")
-
-    def _perm(self, name: str) -> np.ndarray:
-        parts = self._parts(name)
-        offsets = np.cumsum([0] + [len(p) for p in parts[:-1]])
-        return np.concatenate([p + o for p, o in zip(parts, offsets)])
 
     @property
     def L(self) -> sps.csr_matrix:
-        return self._stacked("L")
+        return self._stacked(lower=True)
 
     @property
     def U(self) -> sps.csr_matrix:
-        return self._stacked("U")
-
-    @property
-    def perm_r(self) -> np.ndarray:
-        return self._perm("perm_r")
-
-    @property
-    def perm_c(self) -> np.ndarray:
-        return self._perm("perm_c")
+        return self._stacked(lower=False)
 
 
 def _checked_splu(
@@ -451,18 +409,19 @@ def _check_separated(a: sps.csr_matrix, layout: ColumnBlocks) -> None:
 def _factorize_blocks(a: sps.csr_matrix, a_max: float, layout: ColumnBlocks) -> LUFactors:
     """Factors on the cosine-mode path; _OffLayout if A does not have the layout's form.
 
-    The form: every unknown in one block or the interface, no entry between
-    two blocks, and each block's diagonal part of the Kronecker form.
+    The form: every unknown in one block or the interface (without an
+    interface, one block of every unknown in order), no entry between two
+    blocks, and each block's diagonal part of the Kronecker form.
     """
     n = a.shape[0]
     iface = layout.interface
-    whole = (
-        len(layout.blocks) == 1
-        and not iface.size
-        and np.array_equal(layout.blocks[0].ravel(), np.arange(n))
-    )
+    whole = not iface.size  # then the one block's A_bb is A
     if not whole:
         _check_separated(a, layout)
+    elif len(layout.blocks) != 1 or not np.array_equal(layout.blocks[0].ravel(), np.arange(n)):
+        raise _OffLayout(
+            "without an interface the layout must be one block of every unknown, in order"
+        )
     blocks = []
     for k, b in enumerate(layout.blocks):
         idx = b.ravel()
@@ -473,14 +432,14 @@ def _factorize_blocks(a: sps.csr_matrix, a_max: float, layout: ColumnBlocks) -> 
         lu, row_scale = _factorize_modes(b.shape[0], *parts)
         weights = np.full(b.shape[0], 1.0 / (b.shape[0] - 1))
         weights[[0, -1]] /= 2.0
-        block = _CosineModes(None if whole else b, weights, row_scale, lu)
-        if iface.size:
+        block = _CosineModes(b, weights, row_scale, lu)
+        if not whole:
             block = replace(block, coupling=_couplings(block, a[iface][:, idx], a[idx][:, iface]))
         blocks.append(block)
     interface = None
-    if iface.size:
+    if not whole:
         interface = _factorize_interface(iface, _schur_complement(a[iface][:, iface], blocks))
-    return LUFactors(n=n, _modes=tuple(blocks), _interface=interface)
+    return LUFactors(n=n, pieces=tuple(blocks), interface=interface)
 
 
 def lu_factorize(matrix: sps.spmatrix) -> LUFactors:
@@ -504,7 +463,7 @@ def lu_factorize(matrix: sps.spmatrix) -> LUFactors:
             return _factorize_blocks(a, a_max, layout)
         except _OffLayout as exc:
             _log.warning("column blocks not used, factoring by SuperLU: %s", exc)
-    return LUFactors(n=n, _lu=_checked_splu(a, _PIVOT_RTOL * a_max))
+    return LUFactors(n=n, pieces=(_checked_splu(a, _PIVOT_RTOL * a_max),))
 
 
 def lu_solve(factors: LUFactors, rhs: np.ndarray, trans: str = "N") -> np.ndarray:
@@ -522,25 +481,21 @@ def lu_solve(factors: LUFactors, rhs: np.ndarray, trans: str = "N") -> np.ndarra
         raise DimensionMismatchError(
             f"rhs has shape {rhs.shape}, expected ({factors.n},)"
         )
-    if factors._modes is None:
-        return factors._lu.solve(rhs, trans=trans)
-    blocks = factors._modes
-    coeffs = [block.mode_solve(block.gather(rhs), trans) for block in blocks]
-    if blocks[0].index is None:  # one block holding every unknown in order
-        return blocks[0].from_modes(coeffs[0], trans).ravel()
+    iface = factors.interface
+    if iface is None:  # SuperLU's factors, or one block holding every unknown in order
+        return factors.pieces[0].solve(rhs, trans=trans)
+    blocks = factors.pieces
+    links = [block.coupling["N" if trans == "N" else "T"] for block in blocks]
+    coeffs = [block.mode_solve(rhs[block.index], trans) for block in blocks]
+    g = rhs[iface.index]
+    for block, link, c in zip(blocks, links, coeffs):
+        g = g - link.a_ib @ block.from_modes(c[:, link.read], trans).ravel()
+    x = iface.solve(g, trans)
     out = np.empty(factors.n)
-    iface = factors._interface
-    if iface is not None:
-        links = [block.coupling["N" if trans == "N" else "T"] for block in blocks]
-        g = rhs[iface.index]
-        for block, link, c in zip(blocks, links, coeffs):
-            g = g - link.a_ib @ block.from_modes(c[:, link.read], trans).ravel()
-        x = iface.solve(g, trans)
-        out[iface.index] = x
-        for block, link, c in zip(blocks, links, coeffs):
-            z = block.to_modes((link.a_bi @ x).reshape(block.ny, -1), trans)
-            c -= np.matmul(link.w, z[:, :, None])[:, :, 0]
-    for block, c in zip(blocks, coeffs):
+    out[iface.index] = x
+    for block, link, c in zip(blocks, links, coeffs):
+        z = block.to_modes((link.a_bi @ x).reshape(block.ny, -1), trans)
+        c -= np.matmul(link.w, z[:, :, None])[:, :, 0]
         out[block.index] = block.from_modes(c, trans)
     return out
 

@@ -23,7 +23,7 @@ O(1); it has no usable source term.
 
 A second, fully smooth solution ("smooth") provides an independent
 convergence check.  It does not satisfy the sheath law, so it carries
-additive manufactured sheath data g(t, y) through the Forcing bundle.
+additive manufactured sheath data g(t, side, y) through the Forcing bundle.
 
 ``SOURCES`` maps every source name the command line accepts to the bundle
 it selects.
@@ -36,7 +36,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .assembly import ZERO_FORCING, Forcing, sheath_law
+from .assembly import Forcing, sheath_law
 from .errors import LogDomainError
 from .geometry import PhysConfig
 
@@ -209,26 +209,19 @@ def smooth_mms(eta: float, nu: float, lambda_ref: float, L: float = 0.4) -> Manu
     """Smooth fallback with manufactured sheath data on the faces.
 
     The sheath condition on the face of side s (-1 west, +1 east) becomes
-    d_x q = sheath_law(s, phi) + g_s, with g_s chosen so the smooth field is
-    the exact solution.
+    d_x q = sheath_law(s, phi) + g(t, s, y), with g chosen so the smooth
+    field is the exact solution.
     """
 
     def q_x(t, x, y):
         return -t * t * np.cos(np.pi * y) * _KX * np.sin(_KX * x)
 
-    def g(side):
-        def data(t, y):
-            phi = smooth_phi(t, side * L, y, eta, lambda_ref)
-            return q_x(t, side * L, y) - sheath_law(side, phi, lambda_ref)
-
-        return data
+    def g(t, side, y):
+        phi = smooth_phi(t, side * L, y, eta, lambda_ref)
+        return q_x(t, side * L, y) - sheath_law(side, phi, lambda_ref)
 
     return ManufacturedSolution(
-        forcing=Forcing(
-            volume=lambda t, x, y: smooth_source(t, x, y, eta, nu),
-            sheath_west=g(-1),
-            sheath_east=g(+1),
-        ),
+        forcing=Forcing(volume=lambda t, x, y: smooth_source(t, x, y, eta, nu), sheath=g),
         phi_ini=_constant(lambda_ref),
         phi=lambda t, x, y: smooth_phi(t, x, y, eta, lambda_ref),
         q_x=q_x,
@@ -258,15 +251,14 @@ def sheath_residuals(
 
     Measured in the micro form d_x q - sheath_law(side, phi) = 0, which is
     eta-free; manufactured sheath data of the bundle is honoured, so a
-    solution with corrections reports zero as well.
+    solution with corrections reports zero as well.  Both faces are
+    evaluated in one broadcast, side along the first axis.
     """
-    t = np.asarray(times, dtype=float)[:, None]
-    y = np.asarray(ys, dtype=float)[None, :]
-    forcing = ms.forcing or ZERO_FORCING
-    res = []
-    for side, g in ((-1, forcing.sheath_west), (+1, forcing.sheath_east)):
-        law = sheath_law(side, ms.phi(t, side * L, y), lambda_ref)
-        if g is not None:
-            law = law + g(t, y)
-        res.append(float(np.abs(ms.q_x(t, side * L, y) - law).max()))
-    return res[0], res[1]
+    side = np.array([-1, 1])[:, None, None]
+    t = np.asarray(times, dtype=float)[None, :, None]
+    y = np.asarray(ys, dtype=float)[None, None, :]
+    law = sheath_law(side, ms.phi(t, side * L, y), lambda_ref)
+    if ms.forcing is not None and ms.forcing.sheath is not None:
+        law = law + ms.forcing.sheath(t, side, y)
+    west, east = np.abs(ms.q_x(t, side * L, y) - law).max(axis=(1, 2))
+    return float(west), float(east)

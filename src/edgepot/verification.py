@@ -323,6 +323,28 @@ class CompatibilityReport:
     ok: bool
 
 
+def _rectangle_integrals(
+    phi_ini: Callable, source: Optional[Callable], xs: np.ndarray, ys: np.ndarray
+) -> tuple[float, float]:
+    """(int S|_{t=0}, int d_y^4 phi_ini) over xs x ys by the trapezoidal rule.
+
+    The fourth y-derivative is D^2 of centred second differences, D closed
+    at both ends of ys by the solver's mirror rule.
+    """
+    X, Y = np.meshgrid(xs, ys, indexing="ij")
+    if source is None:
+        s = 0.0
+    else:
+        s0 = np.broadcast_to(np.asarray(source(0.0, X, Y), dtype=float), X.shape)
+        s = float(np.trapezoid(np.trapezoid(s0, ys, axis=1), xs))
+    h = ys[1] - ys[0]
+    f = np.broadcast_to(np.asarray(phi_ini(X, Y), dtype=float), X.shape).copy()
+    f -= f.mean()  # offsets are annihilated analytically; avoid 1/h^4 cancellation
+    d = mirror_dyy(len(ys))
+    d4 = (d @ d @ f.T).T / h**4
+    return s, float(np.trapezoid(np.trapezoid(d4, ys, axis=1), xs))
+
+
 def validate_compatibility(
     phys: PhysConfig,
     phi_ini: Callable,
@@ -330,33 +352,28 @@ def validate_compatibility(
 ) -> CompatibilityReport:
     """Check the initial compatibility between source, data and sheath.
 
-    Evaluates, by trapezoidal quadrature over the full-height strip,
+    Evaluates, by trapezoidal quadrature over Omega,
 
         int_Omega S|_{t=0}  ==  nu int_Omega d_y^4 phi_ini
                                 + 2 int_0^l (1 - e^{lambda - phi_ini|x=L}) dy
 
-    on 401 x 401 points, and warns (advisory only) when the mismatch exceeds
-    1e-6 max(1, |lhs|).  The fourth y-derivative of the callable is formed
-    by centred second-order differences on the quadrature grid.
+    and warns (advisory only) when the mismatch exceeds 1e-6 max(1, |lhs|).
+    Omega is the full-height strip |x| <= L and, when l < 1, the band
+    L <= |x| <= 0.5, l <= y <= 1, each rectangle on 401 x 401 points.  The
+    band's columns are mirror-closed at y = l and y = 1, as in the solver.
     """
     L, l, lam, nu = phys.L, phys.limiter_height, phys.lambda_ref, phys.nu
-    xs = np.linspace(-L, L, _COMPAT_POINTS)
     ys = np.linspace(0.0, 1.0, _COMPAT_POINTS)
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
-
-    if source is None:
-        lhs = 0.0
-    else:
-        s0 = np.broadcast_to(np.asarray(source(0.0, X, Y), dtype=float), X.shape)
-        lhs = float(np.trapezoid(np.trapezoid(s0, ys, axis=1), xs))
-
-    h = ys[1] - ys[0]
-    f = np.broadcast_to(np.asarray(phi_ini(X, Y), dtype=float), X.shape).copy()
-    f -= f.mean()  # offsets are annihilated analytically; avoid 1/h^4 cancellation
-    # D^2 along y, D closed at the walls by the solver's mirror rule
-    d = mirror_dyy(_COMPAT_POINTS)
-    d4 = (d @ d @ f.T).T / h**4
-    rhs = nu * float(np.trapezoid(np.trapezoid(d4, ys, axis=1), xs))
+    rectangles = [(np.linspace(-L, L, _COMPAT_POINTS), ys)]
+    if l < 1.0:
+        band_ys = np.linspace(l, 1.0, _COMPAT_POINTS)
+        rectangles += [
+            (np.linspace(-0.5, -L, _COMPAT_POINTS), band_ys),
+            (np.linspace(L, 0.5, _COMPAT_POINTS), band_ys),
+        ]
+    integrals = [_rectangle_integrals(phi_ini, source, xs, y) for xs, y in rectangles]
+    lhs = sum(s for s, _ in integrals)
+    rhs = nu * sum(d4 for _, d4 in integrals)
 
     ys_face = ys[ys <= l + 1e-12]
     phi_face = np.broadcast_to(

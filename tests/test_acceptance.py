@@ -225,8 +225,8 @@ def test_criterion_7_oracle_suites():
     a_sparse = sps.csr_matrix(ad)
     f = lu_factorize(a_sparse)
     n = 100
-    pr = sps.csr_matrix((np.ones(n), (f.perm_r, np.arange(n))), shape=(n, n))
-    pc = sps.csr_matrix((np.ones(n), (np.arange(n), f.perm_c)), shape=(n, n))
+    pr = sps.csr_matrix((np.ones(n), (f.pieces[0].perm_r, np.arange(n))), shape=(n, n))
+    pc = sps.csr_matrix((np.ones(n), (np.arange(n), f.pieces[0].perm_c)), shape=(n, n))
     res = (pr @ a_sparse @ pc - f.L @ f.U).tocoo()
     factor_res = np.abs(res.data).max() if res.nnz else 0.0
     factor_ok = factor_res <= 1e-12 * np.abs(ad).max()

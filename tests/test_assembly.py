@@ -231,17 +231,15 @@ def test_sheath_rows_follow_the_sheath_law_on_both_faces(geometry, scheme):
     jf = np.asarray(grid.face_rows())
     y = grid.y(jf)
     fold, scale = (1, 1.0) if scheme == "ap" else (2, phys.eta)
-    for col, ghost, sign, g in (
-        (grid.I1, grid.I1 - 1, -1.0, forcing.sheath_west),
-        (grid.I2, grid.I2 + 1, +1.0, forcing.sheath_east),
-    ):
+    for col, ghost, sign in ((grid.I1, grid.I1 - 1, -1.0), (grid.I2, grid.I2 + 1, +1.0)):
         rows = grid.slot(Q, ghost, jf) // fold
         phi_slots = grid.slot(PHI, col, jf) // fold
         phi = u[phi_slots]
+        g = forcing.sheath(t, sign, y)
         if sign < 0:
-            data = 1.0 - np.exp(lam - phi) - phi + g(t, y)
+            data = 1.0 - np.exp(lam - phi) - phi + g
         else:
-            data = -(1.0 - np.exp(lam - phi)) + phi + g(t, y)
+            data = -(1.0 - np.exp(lam - phi)) + phi + g
         assert np.array_equal(b[rows], scale * data)
         entries = np.asarray(system.matrix[rows, phi_slots]).ravel()
         assert np.array_equal(entries, np.full(len(jf), sign * scale))

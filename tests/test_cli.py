@@ -207,6 +207,15 @@ def test_main_run_zero_source(capsys, tmp_path):
     assert phi == pytest.approx(1.5, abs=1e-9)
     out = capsys.readouterr().out
     assert "steps=10" in out
+    assert "error vs exact" not in out  # the zero source has no exact solution
+
+
+def test_main_run_reports_the_error_against_an_exact_solution(capsys):
+    code = main(["run", "--source", "eq3_mms", "--dx", "0.1", "--dy", "0.1", "--T", "0.01"])
+    assert code == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1].startswith("error vs exact: l2=")
+    assert 0 < float(lines[-1].split("=")[1]) < 1e-4
 
 
 def test_main_run_literal_source_is_config_error(capsys):

@@ -4,11 +4,12 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sps
+import scipy.sparse.linalg as spla
 
 from edgepot import linsolve
 from edgepot.assembly import RowKind, build_system
 from edgepot.errors import DimensionMismatchError, SingularPivotError
-from edgepot.geometry import DiscConfig, PhysConfig, build_grid
+from edgepot.geometry import ColumnBlocks, DiscConfig, PhysConfig, build_grid
 from edgepot.linsolve import (
     estimate_cond2,
     lu_factorize,
@@ -52,11 +53,17 @@ def ruiz_reference(a, iters=20):
     return dr, dc, b
 
 
+def on_superlu(factors):
+    """The factors are SuperLU's of the whole matrix, not cosine-mode blocks."""
+    return len(factors.pieces) == 1 and isinstance(factors.pieces[0], spla.SuperLU)
+
+
 def factor_residual(a, factors):
-    """max-norm of Pr A Pc - L U."""
+    """max-norm of Pr A Pc - L U for SuperLU factors of the whole matrix."""
+    (lu,) = factors.pieces
     n = a.shape[0]
-    pr = sps.csr_matrix((np.ones(n), (factors.perm_r, np.arange(n))), shape=(n, n))
-    pc = sps.csr_matrix((np.ones(n), (np.arange(n), factors.perm_c)), shape=(n, n))
+    pr = sps.csr_matrix((np.ones(n), (lu.perm_r, np.arange(n))), shape=(n, n))
+    pc = sps.csr_matrix((np.ones(n), (np.arange(n), lu.perm_c)), shape=(n, n))
     res = (pr @ a @ pc - factors.L @ factors.U).tocoo()
     return np.abs(res.data).max() if res.nnz else 0.0
 
@@ -96,7 +103,7 @@ def test_factors_do_not_depend_on_heap_trim(monkeypatch):
     monkeypatch.setattr(linsolve, "_malloc_trim", None)  # a C library without malloc_trim
     plain = lu_factorize(a)
     assert (trimmed.L != plain.L).nnz == 0 and (trimmed.U != plain.U).nnz == 0
-    assert np.array_equal(trimmed.perm_r, plain.perm_r)
+    assert np.array_equal(trimmed.pieces[0].perm_r, plain.pieces[0].perm_r)
 
 
 def test_solve_residual_bound():
@@ -247,7 +254,7 @@ def strip_system(h, eta, scheme, dt=1e-3):
 def test_strip_path_matches_splu(h, eta, scheme, trans, refined_splu_solve):
     a = strip_system(h, eta, scheme).matrix
     f = lu_factorize(a)
-    assert f._modes is not None
+    assert not on_superlu(f) and f.interface is None
     b = np.random.default_rng(31).standard_normal(a.shape[0])
     ref, lu = refined_splu_solve(a, b, trans)
     x = lu_solve(f, b, trans=trans)
@@ -258,7 +265,7 @@ def test_strip_path_matches_splu(h, eta, scheme, trans, refined_splu_solve):
 def test_superlu_path_for_unstructured_matrices():
     a = random_dd(100, seed=3)
     f = lu_factorize(a)
-    assert f._modes is None
+    assert on_superlu(f)
     assert factor_residual(a, f) <= 1e-12 * np.abs(a.data).max()
 
 
@@ -267,7 +274,7 @@ def test_strip_matrix_without_its_layout_takes_superlu():
     copy = a.copy()  # a copy does not carry the recorded column blocks
     assert hasattr(a, "column_blocks") and not hasattr(copy, "column_blocks")
     f = lu_factorize(copy)
-    assert f._modes is None
+    assert on_superlu(f)
     assert factor_residual(copy, f) <= 1e-12 * np.abs(a.data).max()
 
 
@@ -310,7 +317,7 @@ def backward_error(a, x, b):
 def test_full_path_matches_splu(h, l, eta, scheme, trans, refined_splu_solve):
     a = full_system(h, l, eta, scheme).matrix
     f = lu_factorize(a)
-    assert len(f._modes) == 2 and f._interface is not None
+    assert len(f.pieces) == 2 and f.interface is not None
     b = np.random.default_rng(31).standard_normal(a.shape[0])
     ref, _ = refined_splu_solve(a, b, trans)
     x = lu_solve(f, b, trans=trans)
@@ -324,7 +331,7 @@ def test_full_path_without_a_band_block(trans, refined_splu_solve):
     assert system.grid.I1 == 1
     a = system.matrix
     f = lu_factorize(a)
-    assert len(f._modes) == 1 and f._interface is not None
+    assert len(f.pieces) == 1 and f.interface is not None
     b = np.random.default_rng(37).standard_normal(a.shape[0])
     ref, _ = refined_splu_solve(a, b, trans)
     x = lu_solve(f, b, trans=trans)
@@ -351,7 +358,7 @@ def test_full_path_factors_are_the_stacked_pieces(l, eta, scheme, L):
     reads = interface_reads(a, a.column_blocks.blocks[0])
     assert (reads == 0).any() and (reads > 1).any()
     f = lu_factorize(a)
-    assert len(f._modes) == len(a.column_blocks.blocks)
+    assert len(f.pieces) == len(a.column_blocks.blocks)
     iface = a.column_blocks.interface
     rest = np.setdiff1d(np.arange(a.shape[0]), iface)
     d = a.toarray()
@@ -359,14 +366,14 @@ def test_full_path_factors_are_the_stacked_pieces(l, eta, scheme, L):
         d[np.ix_(rest, rest)], d[np.ix_(rest, iface)]
     )
     s /= np.abs(s).max(axis=1)[:, None]
-    piece = f._interface
-    lu = (piece.L @ piece.U).toarray()
-    assert np.abs(s[np.argsort(piece.perm_r)][:, piece.perm_c] - lu).max() <= 1e-9
-    # L and U stack every piece, the dense interface factors included
+    lu, piv = f.interface.lu_piv
+    for k, p in enumerate(piv):  # LAPACK row swaps, applied in turn
+        s[[k, p]] = s[[p, k]]
     n_i = len(iface)
-    pieces = sum(block.lu.L.nnz + block.lu.U.nnz for block in f._modes)
+    assert np.abs(s - (np.tril(lu, -1) + np.eye(n_i)) @ np.triu(lu)).max() <= 1e-9
+    # L and U stack every piece, the dense interface factors included
+    pieces = sum(block.lu.L.nnz + block.lu.U.nnz for block in f.pieces)
     assert f.L.nnz + f.U.nnz == pieces + n_i * n_i + n_i
-    assert sorted(f.perm_r) == list(range(a.shape[0]))
     assert abs(sps.triu(f.L, 1)).sum() == 0 and abs(sps.tril(f.U, -1)).sum() == 0
 
 
@@ -376,7 +383,7 @@ def test_full_path_factors_small_eta_coupled_systems(eta, trans):
     # SuperLU refused these: at eta = 0 its pivot is 1.7e-7 against a threshold of 3.4e-6
     a = full_system(0.0125, 0.5, eta, "ap").matrix
     f = lu_factorize(a)
-    assert f._interface is not None
+    assert f.interface is not None
     b = np.random.default_rng(41).standard_normal(a.shape[0])
     x = lu_solve(f, b, trans=trans)
     assert backward_error(a if trans == "N" else a.T, x, b) <= 1e-12
@@ -391,7 +398,7 @@ def test_full_path_falls_back_to_superlu_off_the_kronecker_form(caplog):
     a.data[a.indptr[row] : a.indptr[row + 1]] *= 1.5
     with caplog.at_level(logging.WARNING, logger="edgepot.linsolve"):
         f = lu_factorize(a)
-    assert f._modes is None
+    assert on_superlu(f)
     assert [r.getMessage() for r in caplog.records] == [
         "column blocks not used, factoring by SuperLU: block 1 is off the Kronecker form"
     ]
@@ -408,8 +415,41 @@ def test_full_path_falls_back_to_superlu_across_blocks(caplog):
     a.column_blocks = system.matrix.column_blocks
     with caplog.at_level(logging.WARNING, logger="edgepot.linsolve"):
         f = lu_factorize(a)
-    assert f._modes is None
+    assert on_superlu(f)
     assert "joins block 0 to block 1" in caplog.text
+
+
+def _drop_an_interface_unknown(system):
+    layout = system.matrix.column_blocks
+    return ColumnBlocks(layout.blocks, layout.interface[:-1])
+
+
+def _rows_reversed(system):
+    (block,) = system.matrix.column_blocks.blocks
+    return ColumnBlocks((block[::-1],), np.empty(0, np.intp))
+
+
+@pytest.mark.parametrize(
+    "make_system,layout,reason",
+    [
+        (lambda: full_system(0.05, 0.5, 1e-3, "ap"), _drop_an_interface_unknown,
+         "the blocks and the interface do not partition the unknowns"),
+        (lambda: strip_system(0.05, 1e-3, "ap"), _rows_reversed,
+         "without an interface the layout must be one block of every unknown, in order"),
+    ],
+    ids=["not_a_partition", "no_interface_out_of_order"],
+)
+def test_layout_that_does_not_fit_falls_back_to_superlu(make_system, layout, reason, caplog):
+    system = make_system()
+    a = system.matrix
+    a.column_blocks = layout(system)
+    with caplog.at_level(logging.WARNING, logger="edgepot.linsolve"):
+        f = lu_factorize(a)
+    assert on_superlu(f)
+    assert [r.getMessage() for r in caplog.records] == [
+        f"column blocks not used, factoring by SuperLU: {reason}"
+    ]
+    assert factor_residual(a, f) <= 1e-12 * np.abs(a.data).max()
 
 
 def test_full_path_factorization_holds_little_beyond_its_factors():
@@ -422,7 +462,7 @@ def test_full_path_factorization_holds_little_beyond_its_factors():
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert f._interface is not None
+    assert f.interface is not None
     assert peak - held <= 2 * 8 * n_i * n_i
 
 

@@ -27,6 +27,13 @@ def test_init_uniform_reference_potential():
     assert state.n == 0 and state.t == 0.0
 
 
+def test_init_broadcasts_a_scalar_initial_value():
+    grid, phys, _ = make()
+    state = init_state(grid, phys, lambda x, y: 0.25)
+    assert state.phi.shape == (grid.N // 2,)
+    assert np.all(state.phi == 0.25) and np.all(state.q == 0.0)
+
+
 def test_init_mms_at_t0_equals_reference():
     grid, phys, _ = make(lam=0.5)
     ms = corrected_mms(phys.eta, phys.nu, 0.5)

@@ -205,6 +205,16 @@ def test_condition_study_rows_and_determinism():
         assert ra == rb  # bit-identical across repeated runs
 
 
+def test_condition_study_leaves_out_a_refused_single_field_factorization():
+    # at eta = 1e-14 the row-scaled single-field pivot falls below the threshold
+    study = run_condition_study(
+        PhysConfig(eta=0.0), DiscConfig(dx=0.0125, dy=0.0125, dt=1e-3), [1e-14]
+    )
+    (row,) = study.rows
+    assert row.kappa_naive is None and row.kappa_naive_converged is None
+    assert np.isfinite(row.kappa_ap) and row.kappa_ap_converged
+
+
 @pytest.mark.parametrize(
     "study, swept",
     [(run_mms_convergence, [0.1, 0.05]), (run_eta_sweep, [1e-2]), (run_condition_study, [1e-2])],
@@ -252,6 +262,21 @@ def test_compatibility_warns_on_mismatch():
         )
     assert not report.ok
     assert report.lhs == pytest.approx(0.8)  # |Omega| for L = 0.4
+    assert report.rhs == pytest.approx(0.0, abs=1e-12)
+
+
+def test_compatibility_integrates_over_the_band_in_full_geometry():
+    # |Omega| = 2L + (1 - 2L)(1 - l) = 0.9, the sum of the full grid's quadrature weights
+    phys = PhysConfig(eta=1e-3, L=0.4, limiter_height=0.5)
+    grid = build_grid(phys, DiscConfig(dx=0.05, dy=0.05, dt=1e-3, mode="full"))
+    assert grid.quad_weights.sum() * grid.dx * grid.dy == pytest.approx(0.9)
+    with pytest.warns(UserWarning, match="incompatible"):
+        report = validate_compatibility(
+            phys,
+            lambda x, y: np.zeros_like(np.asarray(x, dtype=float)),
+            lambda t, x, y: np.ones_like(np.asarray(x, dtype=float)),
+        )
+    assert report.lhs == pytest.approx(0.9)
     assert report.rhs == pytest.approx(0.0, abs=1e-12)
 
 
