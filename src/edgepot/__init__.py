@@ -11,7 +11,6 @@ library drivers and as a command line tool.
 
 from .assembly import (
     Forcing,
-    RowKind,
     System,
     ZERO_FORCING,
     assemble_ap_rhs,

@@ -46,7 +46,6 @@ row and column index is the coupled slot // 2, the node ordinal.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -64,14 +63,6 @@ SCHEMES = ("ap", "naive")
 def sheath_law(side, phi, lambda_ref: float):
     """The d_x q that the sheath law asks for on face ``side`` (-1 west, +1 east)."""
     return -side * (1.0 - np.exp(lambda_ref - phi))
-
-
-class RowKind(enum.IntEnum):
-    EVOLUTION = 0
-    COUPLING = 1
-    ANCHOR = 2
-    FACE_FLUX_MATCH = 3
-    FACE_SHEATH = 4
 
 
 @dataclass(frozen=True)
@@ -141,11 +132,10 @@ def _place(blocks, n: int, fold: int) -> sps.csr_matrix:
 class System:
     """Constant matrix of one scheme plus the precomputed right-hand-side machinery.
 
-    Row r of ``matrix`` carries the equation tagged ``row_kinds[r]``; the
-    index arrays locate the rows and unknowns the per-step right-hand side
-    touches, in the scheme's own layout.  ``matrix.column_blocks`` records
-    the grid's column blocks and interface (`geometry.ColumnBlocks`) in
-    that layout, for `linsolve.lu_factorize`.
+    The index arrays locate the rows and unknowns the per-step right-hand
+    side touches, in the scheme's own layout.  ``matrix.column_blocks``
+    records the grid's column blocks and interface (`geometry.ColumnBlocks`)
+    in that layout, for `linsolve.lu_factorize`.
     """
 
     grid: Grid
@@ -153,7 +143,6 @@ class System:
     disc: DiscConfig
     scheme: str
     matrix: sps.csr_matrix
-    row_kinds: np.ndarray
     prev_op: sps.csr_matrix  # maps u^n to the explicit evolution part
     src_rows: np.ndarray  # evolution row index per plasma node
     src_x: np.ndarray  # x of the plasma columns, shape (1, nc)
@@ -163,9 +152,6 @@ class System:
     sheath_phi: np.ndarray  # slot of phi^n at each face node
     sheath_side: np.ndarray  # -1 on the west face, +1 on the east
     sheath_y: np.ndarray  # y of each sheath row
-
-    def rows_of_kind(self, kind: RowKind) -> np.ndarray:
-        return np.flatnonzero(self.row_kinds == int(kind))
 
 
 def build_system(grid: Grid, phys: PhysConfig, disc: DiscConfig, scheme: str) -> System:
@@ -189,13 +175,13 @@ def build_system(grid: Grid, phys: PhysConfig, disc: DiscConfig, scheme: str) ->
     prev = dyy_row(grid, PHI, i, j) * (-1.0 / dt)
     evolution = prev + dyyyy_row(grid, PHI, i, j) * nu + dxx_row(grid, x_field, i, j) * x_coef
     src_rows = 2 * k + PHI
-    blocks = [(RowKind.EVOLUTION, src_rows, evolution)]
+    blocks = [(src_rows, evolution)]
     if ap:
         a, c = i == grid.I1, i != grid.I1
         coupling = dxx_row(grid, PHI, i[c], j[c]) + dxx_row(grid, Q, i[c], j[c]) * -eta
         blocks += [
-            (RowKind.ANCHOR, 2 * k[a] + Q, _select(2 * k[a] + Q, N)),
-            (RowKind.COUPLING, 2 * k[c] + Q, coupling),
+            (2 * k[a] + Q, _select(2 * k[a] + Q, N)),
+            (2 * k[c] + Q, coupling),
         ]
 
     # both faces in one pass: face column I1 (side -1) or I2 (+1), ghost beyond it
@@ -206,16 +192,13 @@ def build_system(grid: Grid, phys: PhysConfig, disc: DiscConfig, scheme: str) ->
     ghost = col + side
     if ap:
         flux = dx_central_row(grid, PHI, col, jj) + dx_central_row(grid, Q, col, jj) * -eta
-        blocks.append((RowKind.FACE_FLUX_MATCH, grid.slot(PHI, ghost, jj), flux))
+        blocks.append((grid.slot(PHI, ghost, jj), flux))
     sheath_rows, face_phi = grid.slot(Q, ghost, jj), grid.slot(PHI, col, jj)
     sheath = dx_central_row(grid, sheath_field, col, jj) + _select(face_phi, N, side * phi_coef)
-    blocks.append((RowKind.FACE_SHEATH, sheath_rows, sheath))
+    blocks.append((sheath_rows, sheath))
 
     n = N // fold
-    kinds = np.zeros(n, dtype=np.uint8)
-    for kind, rows, _ in blocks:
-        kinds[rows // fold] = kind
-    matrix = _place([(rows, op) for _, rows, op in blocks], n, fold)
+    matrix = _place(blocks, n, fold)
     check_csr(matrix)
     matrix.column_blocks = grid.column_blocks(fields=2 // fold)
     src_i, at_i = np.unique(i, return_inverse=True)
@@ -226,7 +209,6 @@ def build_system(grid: Grid, phys: PhysConfig, disc: DiscConfig, scheme: str) ->
         disc=disc,
         scheme=scheme,
         matrix=matrix,
-        row_kinds=kinds,
         prev_op=_place([(src_rows, prev)], n, fold),
         src_rows=src_rows // fold,
         src_x=grid.x(src_i)[None, :],
@@ -282,4 +264,6 @@ def write_matrix_market(matrix: sps.spmatrix, path) -> None:
     """Dump in MatrixMarket coordinate format (1-based, full precision)."""
     import scipy.io  # on first use: it adds about 1.5 MB resident to a run that never dumps
 
-    scipy.io.mmwrite(path, matrix, symmetry="general")
+    # through an open file: given a path it cannot open, mmwrite returns without writing
+    with open(path, "wb") as fh:
+        scipy.io.mmwrite(fh, matrix, symmetry="general")

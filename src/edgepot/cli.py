@@ -85,7 +85,10 @@ def parse_config(path: Optional[str] = None, overrides: Optional[dict] = None) -
             raise ParseError(f"cannot parse value {raw!r} for key {key!r}", line_no) from None
 
     if path is not None:
-        text = Path(path).read_text()
+        try:
+            text = Path(path).read_text()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ParseError(f"cannot read config file {path!r}: {exc}") from None
         for line_no, line in enumerate(text.splitlines(), start=1):
             stripped = line.split("#", 1)[0].strip()
             if not stripped:
@@ -161,12 +164,9 @@ def read_field_dump(path):
     return data[:, 0], data[:, 1], data[:, 2], q
 
 
-def write_csv(rows: Sequence, path, fields: Optional[Sequence[str]] = None) -> None:
+def write_csv(rows: Sequence, path) -> None:
     """Header plus one line per record; floats at full precision, None empty."""
-    if fields is None:
-        if not rows:
-            raise ValueError("fields must be given when rows is empty")
-        fields = [f.name for f in dc_fields(rows[0])]
+    fields = [f.name for f in dc_fields(rows[0])]
     with open(path, "w") as fh:
         fh.write(",".join(fields) + "\n")
         for row in rows:
@@ -195,6 +195,7 @@ def _cmd_run(spec: RunSpec, args) -> int:
     grid = build_grid(spec.phys, spec.disc)
     if args.dump_matrix:
         system = build_system(grid, spec.phys, spec.disc, spec.scheme)
+        Path(args.dump_matrix).parent.mkdir(parents=True, exist_ok=True)
         write_matrix_market(system.matrix, args.dump_matrix)
     final = run(grid, spec.phys, spec.disc, ms.forcing, ms.phi_ini, scheme=spec.scheme)
     print(f"steps={final.n} t={final.t!r}")

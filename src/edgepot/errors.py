@@ -25,10 +25,6 @@ class MissingNeighborError(EdgepotError, ValueError):
     """An x-direction stencil reaches past the stored unknowns."""
 
 
-class GridTooCoarseError(EdgepotError, ValueError):
-    """A column is too short for the 5-point fourth-difference stencil."""
-
-
 class SingularStructureError(EdgepotError, ValueError):
     """Assembled matrix has an empty row or column."""
 

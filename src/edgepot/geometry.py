@@ -234,8 +234,6 @@ class Grid:
         self._table[jj, cc] = np.arange(len(jj))
         self.phi_nodes = np.column_stack([cols[cc], jj])
         self._plasma_ordinals = np.flatnonzero(plasma[jj, cc])
-        self.n_phi = len(self._plasma_ordinals)
-        self.n_ghost = 2 * (len(jj) - self.n_phi)  # one phi and one q unknown per ghost node
         self.N = 2 * len(jj)
         self._x_arr = self.x(self.phi_nodes[:, 0])
         self._y_arr = self.y(self.phi_nodes[:, 1])

@@ -26,7 +26,6 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sps
 
-from .errors import GridTooCoarseError
 from .geometry import Grid
 
 
@@ -87,11 +86,4 @@ def dyy_row(grid: Grid, field: int, i, j) -> sps.csr_matrix:
 def dyyyy_row(grid: Grid, field: int, i, j) -> sps.csr_matrix:
     """Fourth y-derivative with the two-ghost mirror closure on the walls."""
     i, j = _nodes(i, j)
-    jb, jt = grid.column_extent(i)
-    n_rows = jt - jb + 1
-    if (n_rows < 5).any():
-        k = np.argmax(n_rows < 5)
-        raise GridTooCoarseError(
-            f"column i={i[k]} has {n_rows[k]} rows; the fourth difference needs 5"
-        )
     return _reflected(grid, field, i, j, (1.0, -4.0, 6.0, -4.0, 1.0), 1.0 / grid.dy**4)

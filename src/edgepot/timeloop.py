@@ -30,7 +30,6 @@ class State:
     t: float
     n: int
     u: np.ndarray
-    grid: Grid
     scheme: str = "ap"
 
     @property
@@ -61,7 +60,7 @@ def init_state(
         u[0::2] = phi0
     else:
         u = phi0.copy()
-    return State(t=0.0, n=0, u=u, grid=grid, scheme=scheme)
+    return State(t=0.0, n=0, u=u, scheme=scheme)
 
 
 def _warn_if_x_dependent(grid: Grid, phi0: np.ndarray) -> None:
@@ -84,7 +83,6 @@ def step(
         t=state.t + system.disc.dt,
         n=state.n + 1,
         u=u,
-        grid=state.grid,
         scheme=state.scheme,
     )
 

@@ -156,6 +156,23 @@ def _require_strip(disc: DiscConfig, study: str) -> None:
         raise ConfigError([f"InvalidMode: {study} runs on the strip, got mode {disc.mode!r}"])
 
 
+def _require_sweep(
+    study: str, tag: str, what: str, values: Sequence[float], fitted: bool = True
+) -> None:
+    """Refuse a sweep the study cannot run or fit, before any grid is built.
+
+    A fitted study draws a line through the logs of the swept values, so it
+    needs 2 distinct values, all > 0; the condition study needs 1.
+    """
+    need, distinct = (2 if fitted else 1), len(set(values))
+    if distinct < need:
+        raise ConfigError([f"{tag}: {study} needs at least {need} distinct {what}, got {distinct}"])
+    bad = [v for v in values if not v > 0]
+    if fitted and bad:
+        raise ConfigError([f"{tag}: {study} fits a line through the logs of the {what}, "
+                           f"so each must be > 0, got {bad[0]!r}"])
+
+
 def run_mms_convergence(
     phys: PhysConfig,
     disc: DiscConfig,
@@ -168,22 +185,17 @@ def run_mms_convergence(
     Each mesh step replaces both ``disc.dx`` and ``disc.dy``.  ``source`` is
     a name of ``manufactured.SOURCES``; one without an exact solution or
     without a source term is refused with a ConfigError, and so are a mode
-    other than 'strip' and fewer than two distinct mesh steps, through which
-    no order can be fitted.  The single-field ``scheme`` is refused at
-    eta = 0 with EtaZeroUndefinedError.
+    other than 'strip', fewer than two distinct mesh steps and a step that
+    is not > 0, through which no order can be fitted.  The single-field
+    ``scheme`` is refused at eta = 0 with EtaZeroUndefinedError.
     """
     _require_strip(disc, "mms-convergence")
+    _require_sweep("mms-convergence", "InvalidGrids", "mesh steps", deltas)
     ms = SOURCES[source](phys)
     if ms.phi is None or ms.forcing is None:
         raise ConfigError(
             [f"InvalidSource: {source!r} has no exact solution with a source term "
              "to converge to"]
-        )
-    distinct = len(set(deltas))
-    if distinct < 2:
-        raise ConfigError(
-            [f"InvalidGrids: mms-convergence fits an order through at least 2 distinct "
-             f"mesh steps, got {distinct}"]
         )
     rows = []
     for d in sorted(deltas, reverse=True):
@@ -205,13 +217,15 @@ def run_eta_sweep(
     Each eta replaces ``phys.eta``; the sweep always runs the ``eq4`` source
     from phi_ini = 0 on the strip, for which the limit solution is
     identically zero at lambda = 0, so the error norms are plain norms of
-    phi_eta.  Another lambda or mode is refused with a ConfigError.  The
-    O(eta) regime needs the parallel term (pi/2L)^2/eta to dominate the
-    perpendicular one nu (2 pi)^4 over the sweep: at nu = 0.01 the crossover
-    sits near eta = 1, at nu = 1 near eta = 1e-2.  The single-field
-    ``scheme`` is refused at eta = 0.
+    phi_eta.  Another lambda or mode is refused with a ConfigError, and so
+    are fewer than two distinct etas and an eta that is not > 0, through
+    which no slope can be fitted.  The O(eta) regime needs the parallel term
+    (pi/2L)^2/eta to dominate the perpendicular one nu (2 pi)^4 over the
+    sweep: at nu = 0.01 the crossover sits near eta = 1, at nu = 1 near
+    eta = 1e-2.
     """
     _require_strip(disc, "eta-sweep")
+    _require_sweep("eta-sweep", "InvalidEtas", "etas", etas)
     if phys.lambda_ref != 0:
         raise ConfigError(
             [f"InvalidLambda: eta-sweep measures the distance to the zero limit, which "
@@ -236,17 +250,18 @@ def run_condition_study(
 ) -> CondStudy:
     """Equilibrated condition number per eta, coupled and single-field.
 
-    Each eta replaces ``phys.eta``; a mode other than 'strip' is refused
-    with a ConfigError.  The single-field entry is absent at eta = 0 (that
-    scheme divides by eta) and whenever its factorization hits a
-    sub-threshold pivot, which happens once eta is small enough to make the
-    matrix numerically singular: near eta = 1e-13 on these strip grids,
-    whose factorization tests the pivots of the row-scaled cosine-mode
-    blocks.  The coupled scheme factors at every eta down to 0.  The matrix
-    does not depend on the source or the state, only on the grid, eta, nu
-    and dt.
+    Each eta replaces ``phys.eta``; a mode other than 'strip' and an empty
+    sweep are refused with a ConfigError.  The single-field entry is absent
+    at eta = 0 (that scheme divides by eta) and whenever its factorization
+    hits a sub-threshold pivot, which happens once eta is small enough to
+    make the matrix numerically singular: near eta = 1e-13 on these strip
+    grids, whose factorization tests the pivots of the row-scaled
+    cosine-mode blocks.  The coupled scheme factors at every eta down to 0.
+    The matrix does not depend on the source or the state, only on the
+    grid, eta, nu and dt.
     """
     _require_strip(disc, "condition-study")
+    _require_sweep("condition-study", "InvalidEtas", "etas", etas, fitted=False)
     rows = []
     for eta in sorted(etas, reverse=True):
         p = replace(phys, eta=eta)

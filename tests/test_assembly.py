@@ -6,7 +6,6 @@ import scipy.io
 
 from edgepot.assembly import (
     Forcing,
-    RowKind,
     ZERO_FORCING,
     assemble_ap_rhs,
     build_system,
@@ -27,6 +26,27 @@ def make(eta=1e-3, dx=0.1, dy=0.25, dt=1e-3, lam=0.0, nu=1.0):
     return build_grid(phys, disc), phys, disc
 
 
+def coupled_row_slots(grid):
+    """Row slots of each equation in the coupled layout, by the row-aligned-with-unknown rule.
+
+    Evolution rows sit in the plasma phi slots; anchor rows (column x = -L)
+    and coupling rows in the plasma q slots; flux-match and sheath rows in
+    the ghost phi and q slots, west face first.
+    """
+    k = grid.plasma_ordinals
+    i = grid.phi_nodes[k, 0]
+    jf = np.asarray(grid.face_rows())
+    ghost = np.concatenate([np.full(len(jf), grid.I1 - 1), np.full(len(jf), grid.I2 + 1)])
+    jj = np.tile(jf, 2)
+    return {
+        "evolution": 2 * k + PHI,
+        "coupling": 2 * k[i != grid.I1] + Q,
+        "anchor": 2 * k[i == grid.I1] + Q,
+        "flux_match": grid.slot(PHI, ghost, jj),
+        "sheath": grid.slot(Q, ghost, jj),
+    }
+
+
 # ---- structure ----------------------------------------------------------
 
 
@@ -34,12 +54,16 @@ def test_ap_row_count_identity():
     grid, phys, disc = make()
     assert (grid.Nx, grid.Ny) == (9, 5)
     blocks = build_system(grid, phys, disc, "ap")
-    counts = {kind: len(blocks.rows_of_kind(kind)) for kind in RowKind}
-    assert counts[RowKind.EVOLUTION] == grid.Nx * grid.Ny
-    assert counts[RowKind.COUPLING] == (grid.Nx - 1) * grid.Ny
-    assert counts[RowKind.ANCHOR] == grid.Ny
-    assert counts[RowKind.FACE_FLUX_MATCH] + counts[RowKind.FACE_SHEATH] == 4 * grid.Ny
+    slots = coupled_row_slots(grid)
+    counts = {name: len(rows) for name, rows in slots.items()}
+    assert counts["evolution"] == grid.Nx * grid.Ny
+    assert counts["coupling"] == (grid.Nx - 1) * grid.Ny
+    assert counts["anchor"] == grid.Ny
+    assert counts["flux_match"] + counts["sheath"] == 4 * grid.Ny
     assert sum(counts.values()) == grid.N
+    assert np.array_equal(np.sort(np.concatenate(list(slots.values()))), np.arange(grid.N))
+    assert np.array_equal(blocks.src_rows, slots["evolution"])
+    assert np.array_equal(blocks.sheath_rows, slots["sheath"])
 
 
 def test_naive_row_count():
@@ -65,7 +89,7 @@ def test_eta_zero_matrix_well_formed():
     blocks = build_system(grid, phys, disc, "ap")
     check_csr(blocks.matrix)
     # coupling rows degenerate to the second difference of phi alone
-    r = int(blocks.rows_of_kind(RowKind.COUPLING)[0])
+    r = int(coupled_row_slots(grid)["coupling"][0])
     row = blocks.matrix.getrow(r)
     fields = {grid.locate(int(k))[0] for k in row.indices}
     assert fields == {PHI}
@@ -83,11 +107,15 @@ def test_full_mode_assembles_and_counts():
     grid = build_grid(phys, disc)
     blocks = build_system(grid, phys, disc, "ap")
     check_csr(blocks.matrix)
-    counts = {kind: len(blocks.rows_of_kind(kind)) for kind in RowKind}
+    slots = coupled_row_slots(grid)
+    counts = {name: len(rows) for name, rows in slots.items()}
     below, above = grid.j_l, grid.Ny - grid.j_l
-    assert counts[RowKind.EVOLUTION] == below * grid.Nx + above * grid.n_band_cols
-    assert counts[RowKind.ANCHOR] == grid.Ny
-    assert counts[RowKind.FACE_SHEATH] == 2 * below
+    assert counts["evolution"] == below * grid.Nx + above * grid.n_band_cols
+    assert counts["anchor"] == grid.Ny
+    assert counts["sheath"] == 2 * below
+    assert sum(counts.values()) == grid.N
+    assert np.array_equal(blocks.src_rows, slots["evolution"])
+    assert np.array_equal(blocks.sheath_rows, slots["sheath"])
     lu_factorize(blocks.matrix)  # invertible
 
 
@@ -110,9 +138,8 @@ def test_rhs_sheath_values_from_previous_state():
     # west: 1 - exp(1 - 1) - 1 = -1; east: -(1 - exp(0)) + 1 = +1
     assert b[system.sheath_rows[system.sheath_side < 0]] == pytest.approx(-1.0)
     assert b[system.sheath_rows[system.sheath_side > 0]] == pytest.approx(1.0)
-    coupling = system.rows_of_kind(RowKind.COUPLING)
-    anchor = system.rows_of_kind(RowKind.ANCHOR)
-    flux = system.rows_of_kind(RowKind.FACE_FLUX_MATCH)
+    slots = coupled_row_slots(grid)
+    coupling, anchor, flux = slots["coupling"], slots["anchor"], slots["flux_match"]
     assert np.all(b[coupling] == 0.0)
     assert np.all(b[anchor] == 0.0)
     assert np.all(b[flux] == 0.0)
@@ -190,7 +217,7 @@ def test_rhs_equals_node_by_node_source(source, geometry, scheme, eta):
     rng = np.random.default_rng(5)
     for t in (0.0, 0.37, 0.9):
         u = 0.1 * rng.standard_normal(system.matrix.shape[0])
-        state = State(t=t, n=0, u=u, grid=system.grid, scheme=scheme)
+        state = State(t=t, n=0, u=u, scheme=scheme)
         b = assemble_ap_rhs(system, state, forcing)
         assert np.array_equal(b, node_by_node_rhs(system, state, forcing))
 
@@ -200,9 +227,9 @@ def test_rhs_equals_node_by_node_source(source, geometry, scheme, eta):
 def test_rhs_broadcasts_scalar_and_y_only_sources(geometry, scheme):
     # a source need not depend on x, or on anything but t
     system = rhs_system(geometry, scheme, 1e-3)
-    state = State(t=0.5, n=0, u=np.zeros(system.matrix.shape[0]), grid=system.grid,
-                  scheme=scheme)
-    rows = system.rows_of_kind(RowKind.EVOLUTION)
+    state = State(t=0.5, n=0, u=np.zeros(system.matrix.shape[0]), scheme=scheme)
+    fold = 1 if scheme == "ap" else 2
+    rows = coupled_row_slots(system.grid)["evolution"] // fold
     assert np.array_equal(rows, np.sort(system.src_rows))
     _, y = system.grid.node_coords()
     y_of_row = np.empty(system.matrix.shape[0])
@@ -224,7 +251,7 @@ def test_sheath_rows_follow_the_sheath_law_on_both_faces(geometry, scheme):
     system = build_system(grid, phys, disc, scheme)
     forcing = SOURCES["smooth_mms"](phys).forcing
     u = phys.lambda_ref + 0.5 * np.random.default_rng(11).standard_normal(system.matrix.shape[0])
-    state = State(t=0.37, n=0, u=u, grid=grid, scheme=scheme)
+    state = State(t=0.37, n=0, u=u, scheme=scheme)
     b = assemble_ap_rhs(system, state, forcing)
 
     lam, t = phys.lambda_ref, state.t + disc.dt

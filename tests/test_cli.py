@@ -63,6 +63,19 @@ def test_malformed_line_rejected(tmp_path):
         parse_config(str(cfg))
 
 
+@pytest.mark.parametrize("kind", ["missing", "directory", "undecodable"])
+def test_unreadable_config_file_is_a_parse_error(tmp_path, capsys, kind):
+    path = tmp_path / "c.cfg"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "undecodable":
+        path.write_bytes(b"eta = 0.01 \xff\xfe\n")
+    with pytest.raises(ParseError, match="cannot read config file"):
+        parse_config(str(path))
+    assert main(["validate", "--config", str(path)]) == 1
+    assert "cannot read config file" in capsys.readouterr().err
+
+
 def test_negative_eta_rejected():
     with pytest.raises(ConfigError, match="eta"):
         parse_config(None, {"eta": -1})
@@ -130,12 +143,6 @@ def test_dump_field_naive_omits_q(tmp_path):
 
 
 # ---- CSV ------------------------------------------------------------------------
-
-
-def test_write_csv_empty_rows_header_only(tmp_path):
-    path = tmp_path / "empty.csv"
-    write_csv([], path, fields=["h", "dt", "err_l2"])
-    assert path.read_text() == "h,dt,err_l2\n"
 
 
 def test_write_csv_rows_full_precision(tmp_path):
@@ -235,6 +242,16 @@ def test_main_dump_matrix(tmp_path):
     assert header.startswith("%%MatrixMarket")
 
 
+def test_main_dump_matrix_creates_the_directory(tmp_path):
+    mtx = tmp_path / "new" / "dir" / "a.mtx"
+    code = main([
+        "run", "--source", "zero", "--dx", "0.2", "--dy", "0.25", "--T", "0.01",
+        "--dt", "0.01", "--dump-matrix", str(mtx),
+    ])
+    assert code == 0
+    assert mtx.read_text().startswith("%%MatrixMarket")
+
+
 def test_dump_fields_subcommand_is_gone(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["dump-fields"])
@@ -323,18 +340,44 @@ def test_main_study_refuses_full_mode(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize(
-    "args",
+    "args,failure",
     [
-        ["mms-convergence", "--eta", "0", "--grids", "0.1,0.05", "--dt", "0.0005"],
-        ["eta-sweep", "--etas", "1e-2,0", "--dx", "0.1", "--dy", "0.1", "--dt", "0.01"],
+        (["mms-convergence", "--eta", "0", "--grids", "0.1,0.05", "--dt", "0.0005"],
+         "EtaZeroUndefined"),
+        (["eta-sweep", "--etas", "1e-2,1e-14", "--dx", "0.1", "--dy", "0.1", "--dt", "0.01"],
+         "SingularPivot"),
     ],
     ids=["mms-convergence", "eta-sweep"],
 )
-def test_main_study_runs_the_given_scheme(tmp_path, capsys, args):
-    # the single-field scheme is undefined at eta = 0
-    code = main(args + ["--scheme", "naive", "--T", "0.2", "--outdir", str(tmp_path)])
+def test_main_study_runs_the_given_scheme(tmp_path, capsys, args, failure):
+    # the single-field scheme is undefined at eta = 0 and its factorization is
+    # refused at eta = 1e-14; the coupled scheme runs the same sweep
+    code = main(args + ["--scheme", "naive", "--T", "0.2", "--outdir", str(tmp_path / "naive")])
     assert code == 2
-    assert "EtaZeroUndefined" in capsys.readouterr().err
+    assert failure in capsys.readouterr().err
+    assert main(args + ["--T", "0.2", "--outdir", str(tmp_path / "ap")]) == 0
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["mms-convergence", "--grids", ","],
+        ["mms-convergence", "--grids", "0.1,0"],
+        ["eta-sweep", "--etas", ","],
+        ["eta-sweep", "--etas", "1e-2"],
+        ["eta-sweep", "--etas", "1e-2,1e-2"],
+        ["eta-sweep", "--etas", "1e-2,0"],
+        ["condition-study", "--etas", ","],
+    ],
+    ids=lambda a: f"{a[0]} {a[2]}",
+)
+def test_main_study_refuses_a_sweep_it_cannot_run_or_fit(tmp_path, capsys, args):
+    # a fitted study needs two distinct values, all > 0; the condition study one
+    code = main(args + ["--dx", "0.1", "--dy", "0.1", "--dt", "0.01", "--T", "0.2",
+                        "--outdir", str(tmp_path / "out")])
+    assert code == 1
+    assert "configuration error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(

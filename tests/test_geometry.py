@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from edgepot.assembly import RowKind, build_system, check_csr
+from edgepot.assembly import build_system, check_csr
 from edgepot.errors import ConfigError, OutOfDomainError
 from edgepot.geometry import (
     Q,
@@ -92,7 +92,7 @@ def test_row_count_from_dy():
 def test_strip_unknown_count():
     grid = build_grid(*strip_configs())
     assert grid.N == 2 * grid.Nx * grid.Ny + 4 * grid.Ny
-    assert grid.N == 2 * grid.n_phi + grid.n_ghost
+    assert len(grid.plasma_ordinals) == grid.Nx * grid.Ny
 
 
 def test_full_unknown_count():
@@ -100,7 +100,7 @@ def test_full_unknown_count():
     below = grid.j_l
     above = grid.Ny - grid.j_l
     n_phi = below * grid.Nx + above * grid.n_band_cols
-    assert grid.n_phi == n_phi
+    assert len(grid.plasma_ordinals) == n_phi
     assert grid.N == 2 * n_phi + 4 * below
 
 
@@ -164,7 +164,11 @@ def test_bottom_wall_starts_every_strip_column():
 
 
 def anchor_slots(grid, phys, disc):
-    return build_system(grid, phys, disc, "ap").rows_of_kind(RowKind.ANCHOR)
+    """The rows that hold one unit entry on their own unknown."""
+    a = build_system(grid, phys, disc, "ap").matrix
+    rows = np.flatnonzero(np.diff(a.indptr) == 1)
+    first = a.indptr[rows]
+    return rows[(a.indices[first] == rows) & (a.data[first] == 1.0)]
 
 
 def test_west_face_column_carries_the_anchor_rows():

@@ -7,9 +7,9 @@ import scipy.sparse as sps
 import scipy.sparse.linalg as spla
 
 from edgepot import linsolve
-from edgepot.assembly import RowKind, build_system
+from edgepot.assembly import build_system
 from edgepot.errors import DimensionMismatchError, SingularPivotError
-from edgepot.geometry import ColumnBlocks, DiscConfig, PhysConfig, build_grid
+from edgepot.geometry import Q, ColumnBlocks, DiscConfig, PhysConfig, build_grid
 from edgepot.linsolve import (
     estimate_cond2,
     lu_factorize,
@@ -283,7 +283,8 @@ def test_strip_without_gauge_anchor_raises():
     system = strip_system(0.05, 1e-3, "ap")
     a = system.matrix  # in place: a copy would lose the recorded column blocks
     rows = np.repeat(np.arange(a.shape[0]), np.diff(a.indptr))
-    a.data[np.isin(rows, system.rows_of_kind(RowKind.ANCHOR))] = 0.0
+    grid = system.grid
+    a.data[np.isin(rows, grid.slot(Q, grid.I1, np.arange(grid.Ny)))] = 0.0  # the anchor rows
     with pytest.raises(SingularPivotError):
         lu_factorize(a)
 
@@ -471,7 +472,8 @@ def test_full_path_refuses_a_singular_interface():
     system = full_system(0.05, 0.5, 1e-3, "ap")
     a = system.matrix
     rows = np.repeat(np.arange(a.shape[0]), np.diff(a.indptr))
-    a.data[np.isin(rows, system.rows_of_kind(RowKind.ANCHOR))] = 0.0
+    grid = system.grid
+    a.data[np.isin(rows, grid.slot(Q, grid.I1, np.arange(grid.Ny)))] = 0.0  # the anchor rows
     with pytest.raises(SingularPivotError, match="interface Schur complement"):
         lu_factorize(a)
 

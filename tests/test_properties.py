@@ -139,6 +139,36 @@ full_configs = st.fixed_dictionaries(
 )
 
 
+def make_full(cfg, eta):
+    (half, gap), (ny, below) = cfg["x"], cfg["y"]
+    dx = 0.5 / half
+    phys = PhysConfig(eta=eta, nu=cfg["nu"], L=gap * dx, limiter_height=below / ny)
+    disc = DiscConfig(dx=dx, dy=1.0 / ny, dt=cfg["dt"], mode="full")
+    return build_grid(phys, disc), phys, disc
+
+
+@examples
+@given(cfg=full_configs, eta=log_uniform(1e-4, 1.0))
+def test_coupled_equals_single_field_in_full_geometry(cfg, eta):
+    grid, phys, disc = make_full(cfg, eta)
+    ms = SOURCES["eq4"](phys)
+    coupled = advance(grid, phys, disc, "ap", ms.forcing, ms.phi_ini)
+    single = advance(grid, phys, disc, "naive", ms.forcing, ms.phi_ini)
+    for a, n in zip(coupled, single):
+        assert np.abs(a.phi - n.phi).max() <= 1e-8 * np.abs(a.phi).max()
+
+
+@examples
+@given(cfg=full_configs, eta=st.one_of(st.just(0.0), log_uniform(1e-8, 1.0)))
+def test_macro_field_constant_along_x_in_full_geometry(cfg, eta):
+    # also on the band rows above the limiter, where x is periodic
+    grid, phys, disc = make_full(cfg, eta)
+    ms = SOURCES["eq4"](phys)
+    for state in advance(grid, phys, disc, "ap", ms.forcing, ms.phi_ini):
+        scale = max(1.0, np.abs(state.phi).max())
+        assert micro_macro_deviation(grid, state.u, eta) <= 1e-12 * scale
+
+
 @examples
 @given(cfg=full_configs, **solver_cases)
 def test_column_block_path_matches_superlu_in_full_geometry(
