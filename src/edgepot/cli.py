@@ -5,14 +5,17 @@ commas also separate pairs), with ``#`` comments.  Unknown keys are
 rejected.  Command-line flags override file values.  All numeric output is
 written with full round-trip precision; consumers do their own rounding.
 
-Exit codes: 0 success, 1 configuration error, 2 numerical failure.
+Exit codes: 0 success; 1 configuration error or another error, such as an
+unwritable output path; 2 numerical failure (`errors.NumericalError`), and
+argparse's 2 for a malformed command line.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import sys
-from dataclasses import dataclass, fields as dc_fields
+from dataclasses import astuple, dataclass, fields as dc_fields
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -20,16 +23,7 @@ import numpy as np
 
 from . import verification
 from .assembly import SCHEMES, build_system, write_matrix_market
-from .errors import (
-    ConfigError,
-    EdgepotError,
-    EtaZeroUndefinedError,
-    NonFiniteInitialError,
-    NonFiniteSourceError,
-    ParseError,
-    SingularPivotError,
-    UnknownKeyError,
-)
+from .errors import ConfigError, EdgepotError, NumericalError, ParseError, UnknownKeyError
 from .geometry import DiscConfig, PhysConfig, build_grid, validate_config
 from .manufactured import SOURCES, sheath_residuals
 from .timeloop import State, run
@@ -138,48 +132,27 @@ def spec_echo(spec: RunSpec, omit: Sequence[str] = ()) -> str:
 def dump_field(grid, state: State, path, header: str = "") -> None:
     """Text dump: one line per plasma node 'x y phi [q]', full precision."""
     x, y = grid.node_coords()
-    phi = state.phi
-    q = state.q
+    cols = [x, y, state.phi] + ([] if state.q is None else [state.q])
     with open(path, "w") as fh:
         fh.write(f"# {header}\n" if header else "#\n")
-        cols = "x y phi" + (" q" if q is not None else "")
-        fh.write(f"# {cols}\n")
-        for k in grid.plasma_ordinals:
-            line = f"{float(x[k])!r} {float(y[k])!r} {float(phi[k])!r}"
-            if q is not None:
-                line += f" {float(q[k])!r}"
-            fh.write(line + "\n")
+        fh.write("# x y phi" + ("" if state.q is None else " q") + "\n")
+        for values in zip(*(c[grid.plasma_ordinals].tolist() for c in cols)):
+            fh.write(" ".join(map(repr, values)) + "\n")
 
 
 def read_field_dump(path):
     """Inverse of dump_field: (x, y, phi, q or None) arrays."""
-    rows = []
-    with open(path) as fh:
-        for line in fh:
-            if line.startswith("#"):
-                continue
-            rows.append([float(tok) for tok in line.split()])
-    data = np.asarray(rows)
+    data = np.loadtxt(path, ndmin=2)
     q = data[:, 3] if data.shape[1] > 3 else None
     return data[:, 0], data[:, 1], data[:, 2], q
 
 
 def write_csv(rows: Sequence, path) -> None:
     """Header plus one line per record; floats at full precision, None empty."""
-    fields = [f.name for f in dc_fields(rows[0])]
-    with open(path, "w") as fh:
-        fh.write(",".join(fields) + "\n")
-        for row in rows:
-            cells = []
-            for name in fields:
-                v = getattr(row, name)
-                if v is None:
-                    cells.append("")
-                elif isinstance(v, float):
-                    cells.append(repr(float(v)))
-                else:
-                    cells.append(str(v))
-            fh.write(",".join(cells) + "\n")
+    with open(path, "w", newline="") as fh:
+        out = csv.writer(fh, lineterminator="\n")
+        out.writerow(f.name for f in dc_fields(rows[0]))
+        out.writerows(astuple(row) for row in rows)
 
 
 # ---- subcommands -------------------------------------------------------
@@ -264,7 +237,6 @@ def _cmd_condition_study(spec: RunSpec, args) -> int:
 
 
 def _cmd_validate(spec: RunSpec, args) -> int:
-    build_grid(spec.phys, spec.disc)
     print("config ok:", spec_echo(spec))
     p = spec.phys
     ms = SOURCES[spec.source](p)
@@ -284,65 +256,52 @@ def _cmd_validate(spec: RunSpec, args) -> int:
     return 0
 
 
+# subcommand -> (handler, help text, {extra flag: add_argument keywords})
+COMMANDS = {
+    "run": (_cmd_run, "single simulation", {
+        "--dump-fields": {"help": "write final fields here"},
+        "--dump-matrix": {"help": "write the system matrix (MatrixMarket)"},
+    }),
+    "mms-convergence": (_cmd_mms_convergence, "mesh-convergence study", {
+        "--grids": {"default": "0.05,0.025,0.0125,0.00625", "help": "comma-separated mesh steps"},
+    }),
+    "eta-sweep": (_cmd_eta_sweep, "distance to the eta=0 limit", {
+        "--etas": {"default": "1e-1,1e-2,1e-3,1e-4"},
+    }),
+    "condition-study": (_cmd_condition_study, "condition number vs eta", {
+        "--etas": {"default": "1e-2,1e-4,1e-6,1e-8,0"},
+    }),
+    "validate": (_cmd_validate, "validate configuration and data", {}),
+}
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="edgepot",
         description="Anisotropic edge-potential solver: coupled micro-macro "
         "scheme, stiff single-field scheme, and verification studies.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(sp):
+    sub = parser.add_subparsers(dest="command", required=True)  # named in usage errors
+    for name, (handler, help_text, flags) in COMMANDS.items():
+        sp = sub.add_parser(name, help=help_text)
+        sp.set_defaults(handler=handler)
         sp.add_argument("--config", help="flat key=value configuration file")
         for key in KEYS:
-            sp.add_argument(f"--{key}", default=None, help=f"override {key}")
-
-    p_run = sub.add_parser("run", help="single simulation")
-    add_common(p_run)
-    p_run.add_argument("--dump-fields", default=None, help="write final fields here")
-    p_run.add_argument("--dump-matrix", default=None, help="write the system matrix (MatrixMarket)")
-
-    p_conv = sub.add_parser("mms-convergence", help="mesh-convergence study")
-    add_common(p_conv)
-    p_conv.add_argument("--grids", default="0.05,0.025,0.0125,0.00625",
-                        help="comma-separated mesh steps")
-
-    p_eta = sub.add_parser("eta-sweep", help="distance to the eta=0 limit")
-    add_common(p_eta)
-    p_eta.add_argument("--etas", default="1e-1,1e-2,1e-3,1e-4")
-
-    p_cond = sub.add_parser("condition-study", help="condition number vs eta")
-    add_common(p_cond)
-    p_cond.add_argument("--etas", default="1e-2,1e-4,1e-6,1e-8,0")
-
-    p_val = sub.add_parser("validate", help="validate configuration and data")
-    add_common(p_val)
-
+            sp.add_argument(f"--{key}", help=f"override {key}")
+        for flag, kwargs in flags.items():
+            sp.add_argument(flag, **kwargs)
     args = parser.parse_args(argv)
-    overrides = {key: getattr(args, key) for key in KEYS}
 
-    handlers = {
-        "run": _cmd_run,
-        "mms-convergence": _cmd_mms_convergence,
-        "eta-sweep": _cmd_eta_sweep,
-        "condition-study": _cmd_condition_study,
-        "validate": _cmd_validate,
-    }
     try:
-        spec = parse_config(args.config, overrides)
-        return handlers[args.command](spec, args)
-    except (ConfigError, ParseError, UnknownKeyError) as exc:
+        spec = parse_config(args.config, {key: getattr(args, key) for key in KEYS})
+        return args.handler(spec, args)
+    except (ConfigError, ParseError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
-    except (
-        SingularPivotError,
-        NonFiniteSourceError,
-        NonFiniteInitialError,
-        EtaZeroUndefinedError,
-    ) as exc:
+    except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
-    except EdgepotError as exc:
+    except (EdgepotError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

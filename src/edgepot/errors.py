@@ -29,19 +29,23 @@ class SingularStructureError(EdgepotError, ValueError):
     """Assembled matrix has an empty row or column."""
 
 
-class NonFiniteSourceError(EdgepotError, ValueError):
+class NumericalError(EdgepotError):
+    """A numerical failure; the CLI exits with status 2."""
+
+
+class NonFiniteSourceError(NumericalError, ValueError):
     """Right-hand side contains NaN or infinity."""
 
 
-class NonFiniteInitialError(EdgepotError, ValueError):
+class NonFiniteInitialError(NumericalError, ValueError):
     """Initial data evaluates to NaN or infinity on the grid."""
 
 
-class EtaZeroUndefinedError(EdgepotError, ZeroDivisionError):
+class EtaZeroUndefinedError(NumericalError, ZeroDivisionError):
     """The single-field scheme divides by eta and is undefined at eta = 0."""
 
 
-class SingularPivotError(EdgepotError, RuntimeError):
+class SingularPivotError(NumericalError, RuntimeError):
     """LU factorization hit a zero or sub-threshold pivot."""
 
 

@@ -79,8 +79,7 @@ def config_violations(phys: PhysConfig, disc: DiscConfig) -> list[str]:
             out.append(f"NonPositiveStep: {name} must be > 0, got {v}")
     if disc.mode not in ("strip", "full"):
         out.append(f"InvalidPhysConfig: unknown mode {disc.mode!r}")
-        return out
-    if any(s.startswith("NonPositiveStep") or s.startswith("InvalidPhysConfig") for s in out):
+    if out:
         return out
 
     l = phys.limiter_height

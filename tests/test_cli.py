@@ -10,6 +10,7 @@ from edgepot.cli import (
     spec_echo,
     write_csv,
 )
+from edgepot import errors
 from edgepot.errors import ConfigError, ParseError, UnknownKeyError
 from edgepot.geometry import DiscConfig, PhysConfig, build_grid
 from edgepot.timeloop import init_state
@@ -149,9 +150,7 @@ def test_write_csv_rows_full_precision(tmp_path):
     rows = [ConvergenceRow(h=0.1, dt=1e-3, err_l2=1 / 3)]
     path = tmp_path / "rows.csv"
     write_csv(rows, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "h,dt,err_l2"
-    assert lines[1] == "0.1,0.001,0.3333333333333333"
+    assert path.read_bytes() == b"h,dt,err_l2\n0.1,0.001,0.3333333333333333\n"
 
 
 def test_write_csv_absent_entry_is_empty_cell(tmp_path):
@@ -161,7 +160,10 @@ def test_write_csv_absent_entry_is_empty_cell(tmp_path):
     ]
     path = tmp_path / "cond.csv"
     write_csv(rows, path)
-    assert path.read_text().splitlines()[1] == "0.0,2.0,True,,"
+    assert path.read_bytes() == (
+        b"eta,kappa_ap,kappa_ap_converged,kappa_naive,kappa_naive_converged\n"
+        b"0.0,2.0,True,,\n"
+    )
 
 
 # ---- entry point ------------------------------------------------------------------
@@ -201,6 +203,38 @@ def test_main_naive_eta_zero_exits_2(capsys):
                  "--dx", "0.1", "--dy", "0.1", "--T", "0.01"])
     assert code == 2
     assert "EtaZeroUndefined" in capsys.readouterr().err
+
+
+def test_numerical_errors_are_the_exit_2_failures():
+    numerical = {
+        name for name, cls in vars(errors).items()
+        if isinstance(cls, type) and issubclass(cls, errors.NumericalError)
+        and cls is not errors.NumericalError
+    }
+    assert numerical == {
+        "SingularPivotError", "NonFiniteSourceError", "NonFiniteInitialError",
+        "EtaZeroUndefinedError",
+    }
+    assert not issubclass(errors.LogDomainError, errors.NumericalError)  # exits 1
+
+
+@pytest.mark.parametrize(
+    "args,target",
+    [
+        (["run", "--source", "zero", "--T", "0.01", "--dump-fields"], "directory"),
+        (["condition-study", "--etas", "1e-2", "--outdir"], "file"),
+    ],
+    ids=["run --dump-fields", "condition-study --outdir"],
+)
+def test_main_unwritable_output_path_exits_1(tmp_path, capsys, args, target):
+    path = tmp_path / target
+    if target == "directory":
+        path.mkdir()
+    else:
+        path.write_text("")
+    assert main(args + [str(path), "--dx", "0.1", "--dy", "0.1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_main_run_zero_source(capsys, tmp_path):
