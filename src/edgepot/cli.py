@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import sys
 from dataclasses import astuple, dataclass, fields as dc_fields
 from pathlib import Path
@@ -166,11 +167,11 @@ def _cmd_run(spec: RunSpec, args) -> int:
              "source term; it is available to 'validate' only"]
         )
     grid = build_grid(spec.phys, spec.disc)
+    system = build_system(grid, spec.phys, spec.disc, spec.scheme)
     if args.dump_matrix:
-        system = build_system(grid, spec.phys, spec.disc, spec.scheme)
         Path(args.dump_matrix).parent.mkdir(parents=True, exist_ok=True)
         write_matrix_market(system.matrix, args.dump_matrix)
-    final = run(grid, spec.phys, spec.disc, ms.forcing, ms.phi_ini, scheme=spec.scheme)
+    final = run(system, ms.forcing, ms.phi_ini)
     print(f"steps={final.n} t={final.t!r}")
     print(f"phi: l2={l2_norm(grid, final.phi)!r} max={float(np.abs(final.phi).max())!r}")
     if final.q is not None:
@@ -189,6 +190,13 @@ def _parse_float_list(raw: str) -> list[float]:
     return [float(tok) for tok in raw.split(",") if tok.strip()]
 
 
+def _check_outdir(outdir: Path) -> None:
+    """Refuse an outdir at or under a file before the study runs; create nothing."""
+    existing = next(p for p in (outdir, *outdir.parents) if p.exists())
+    if not existing.is_dir():
+        raise NotADirectoryError(errno.ENOTDIR, "not a directory", str(existing))
+
+
 def _write_study(
     spec: RunSpec, name: str, rows: Sequence, extra: str, omit: Sequence[str]
 ) -> None:
@@ -205,6 +213,7 @@ def _write_study(
 
 
 def _cmd_mms_convergence(spec: RunSpec, args) -> int:
+    _check_outdir(spec.outdir)
     study = verification.run_mms_convergence(
         spec.phys, spec.disc, _parse_float_list(args.grids),
         source=spec.source, scheme=spec.scheme,
@@ -216,6 +225,7 @@ def _cmd_mms_convergence(spec: RunSpec, args) -> int:
 
 
 def _cmd_eta_sweep(spec: RunSpec, args) -> int:
+    _check_outdir(spec.outdir)
     study = verification.run_eta_sweep(
         spec.phys, spec.disc, _parse_float_list(args.etas), scheme=spec.scheme
     )
@@ -227,6 +237,7 @@ def _cmd_eta_sweep(spec: RunSpec, args) -> int:
 
 
 def _cmd_condition_study(spec: RunSpec, args) -> int:
+    _check_outdir(spec.outdir)
     study = verification.run_condition_study(spec.phys, spec.disc, _parse_float_list(args.etas))
     _write_study(spec, "condition_study", study.rows, f"etas={args.etas}",
                  omit=("eta", "T", "scheme", "source"))

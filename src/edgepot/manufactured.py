@@ -75,7 +75,7 @@ def mms_q_x(t, x, y, L: float = 0.4):
     return -((t / np.pi) ** 2) * np.cos(np.pi * y) * k * np.sin(k * x)
 
 
-def mms_source(t, x, y, eta: float, nu: float, lambda_ref: float, L: float = 0.4):
+def mms_source(t, x, y, eta: float, nu: float, *, L: float = 0.4):
     """Model operator applied to mms_phi, in closed form.
 
     With phi = eta*A + B + lambda, A = (t/pi)^2 cos(pi y) cos(k x) and
@@ -84,8 +84,8 @@ def mms_source(t, x, y, eta: float, nu: float, lambda_ref: float, L: float = 0.4
         S = eta (-d_t d_y^2 A + nu d_y^4 A) - d_x^2 A - d_t d_y^2 B + nu d_y^4 B
 
     The 1/eta term reduces to -d_x^2 A because the x-part carries eta, so S
-    is affine in eta and finite at eta = 0.  lambda_ref only shifts phi and
-    drops out of S; it is accepted to mirror mms_phi's signature.
+    is affine in eta and finite at eta = 0.  lambda only shifts phi and drops
+    out of S, so S takes no lambda_ref.
     """
     k, c = _wavenumbers(L)
     arg = _log_arg_corrected(t, y, c)
@@ -184,7 +184,7 @@ def corrected_mms(
 ) -> ManufacturedSolution:
     """The boundary-consistent reference solution (default study target)."""
     return ManufacturedSolution(
-        forcing=Forcing(volume=lambda t, x, y: mms_source(t, x, y, eta, nu, lambda_ref, L)),
+        forcing=Forcing(volume=lambda t, x, y: mms_source(t, x, y, eta, nu, L=L)),
         phi_ini=_constant(lambda_ref),
         phi=lambda t, x, y: mms_phi(t, x, y, eta, lambda_ref, L),
         q_x=lambda t, x, y: mms_q_x(t, x, y, L),

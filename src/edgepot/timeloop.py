@@ -9,9 +9,9 @@ from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from .assembly import Forcing, System, ZERO_FORCING, assemble_ap_rhs, build_system
+from .assembly import Forcing, System, ZERO_FORCING, assemble_ap_rhs
 from .errors import NonFiniteInitialError
-from .geometry import DiscConfig, Grid, PhysConfig
+from .geometry import Grid, PhysConfig
 from .linsolve import LUFactors, lu_factorize, lu_solve
 
 _X_CONST_TOL = 1e-12
@@ -101,26 +101,23 @@ def n_steps(t_end: float, dt: float) -> int:
 
 
 def run(
-    grid: Grid,
-    phys: PhysConfig,
-    disc: DiscConfig,
+    system: System,
     forcing: Forcing,
     phi_ini: Callable,
     observers: Iterable[Callable[[State], None]] = (),
-    scheme: str = "ap",
 ) -> State:
-    """Integrate to t = T with one factorization; observers see every state.
+    """Integrate ``system`` to t = T with one factorization; observers see every state.
 
+    The system carries the grid, configs and scheme it was built for.
     Observers are called once on the initial state (n = 0) and after each
     accepted step.  Independent runs share nothing mutable and may execute
     concurrently.
     """
-    system = build_system(grid, phys, disc, scheme)
     factors = lu_factorize(system.matrix)
-    state = init_state(grid, phys, phi_ini, scheme=scheme)
+    state = init_state(system.grid, system.phys, phi_ini, scheme=system.scheme)
     for obs in observers:
         obs(state)
-    for _ in range(n_steps(phys.t_end, disc.dt)):
+    for _ in range(n_steps(system.phys.t_end, system.disc.dt)):
         state = step(state, factors, system, forcing)
         for obs in observers:
             obs(state)

@@ -35,7 +35,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .assembly import System, build_system
+from .assembly import System, build_system, sheath_law
 from .errors import ConfigError, SingularPivotError
 from .geometry import DiscConfig, Grid, PhysConfig, build_grid
 from .linsolve import (
@@ -48,7 +48,6 @@ from .linsolve import (
     power_iteration,
 )
 from .manufactured import SOURCES
-from .stencils import mirror_dyy
 from .timeloop import State, run
 
 
@@ -58,15 +57,11 @@ from .timeloop import State, run
 def l2_norm(grid: Grid, values: np.ndarray) -> float:
     """L2(Omega) norm by the trapezoidal rule over the plasma nodes.
 
-    ``values`` is aligned with the grid's node enumeration (ghosts allowed,
-    they carry weight zero) or with the plasma nodes only.
+    ``values`` is aligned with the grid's node enumeration; the ghosts carry
+    weight zero.
     """
     w = grid.quad_weights
     v = np.asarray(values, dtype=float)
-    if v.shape != w.shape:
-        full = np.zeros_like(w)
-        full[grid.plasma_ordinals] = v
-        v = full
     return float(np.sqrt(np.sum(w * v * v) * grid.dx * grid.dy))
 
 
@@ -201,7 +196,7 @@ def run_mms_convergence(
     for d in sorted(deltas, reverse=True):
         mesh = replace(disc, dx=d, dy=d)
         grid = build_grid(phys, mesh)
-        final = run(grid, phys, mesh, ms.forcing, ms.phi_ini, scheme=scheme)
+        final = run(build_system(grid, phys, mesh, scheme), ms.forcing, ms.phi_ini)
         x, y = grid.node_coords()
         err = l2_norm(grid, final.phi - ms.phi(final.t, x, y))
         rows.append(ConvergenceRow(h=d, dt=disc.dt, err_l2=err))
@@ -237,7 +232,7 @@ def run_eta_sweep(
         grid = build_grid(p, disc)
         obs = TimeNormObserver(grid)
         ms = SOURCES["eq4"](p)
-        run(grid, p, disc, ms.forcing, ms.phi_ini, observers=[obs], scheme=scheme)
+        run(build_system(grid, p, disc, scheme), ms.forcing, ms.phi_ini, observers=[obs])
         l1, l2 = obs.norms(disc.dt)
         rows.append(EtaRow(eta=eta, err_l1_time=l1, err_l2_time=l2))
     slope_l1 = fit_loglog_slope([r.eta for r in rows], [r.err_l1_time for r in rows])
@@ -327,75 +322,51 @@ def amplification_factor(system: System, factors: LUFactors) -> AmplificationEst
 # ---- compatibility of the initial data --------------------------------
 
 
-_COMPAT_POINTS = 401  # quadrature points per direction
-
-
 @dataclass(frozen=True)
 class CompatibilityReport:
     lhs: float  # integral of S at t = 0 over Omega
-    rhs: float  # nu * integral of d_y^4 phi_ini + 2 * face integral of the sheath term
+    rhs: float  # int_0^l d_x q|_{x=-L} - d_x q|_{x=L} dy; nu d_y^4 phi integrates to 0
     mismatch: float
     ok: bool
 
 
-def _rectangle_integrals(
-    phi_ini: Callable, source: Optional[Callable], xs: np.ndarray, ys: np.ndarray
-) -> tuple[float, float]:
-    """(int S|_{t=0}, int d_y^4 phi_ini) over xs x ys by the trapezoidal rule.
-
-    The fourth y-derivative is D^2 of centred second differences, D closed
-    at both ends of ys by the solver's mirror rule.
-    """
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
-    if source is None:
-        s = 0.0
-    else:
-        s0 = np.broadcast_to(np.asarray(source(0.0, X, Y), dtype=float), X.shape)
-        s = float(np.trapezoid(np.trapezoid(s0, ys, axis=1), xs))
-    h = ys[1] - ys[0]
-    f = np.broadcast_to(np.asarray(phi_ini(X, Y), dtype=float), X.shape).copy()
-    f -= f.mean()  # offsets are annihilated analytically; avoid 1/h^4 cancellation
-    d = mirror_dyy(len(ys))
-    d4 = (d @ d @ f.T).T / h**4
-    return s, float(np.trapezoid(np.trapezoid(d4, ys, axis=1), xs))
-
-
 def validate_compatibility(
-    phys: PhysConfig,
-    phi_ini: Callable,
-    source: Optional[Callable],
+    phys: PhysConfig, phi_ini: Callable, source: Optional[Callable]
 ) -> CompatibilityReport:
     """Check the initial compatibility between source, data and sheath.
 
-    Evaluates, by trapezoidal quadrature over Omega,
+    Integrated over Omega, -d_t d_y^2 phi and nu d_y^4 phi vanish under the
+    wall conditions d_y phi = d_y^3 phi = 0 (in the discrete model too: the
+    trapezoid weights are a left null vector of the mirror second
+    difference), and -d_x^2 q leaves its fluxes through the limiter faces.
+    So this checks, by trapezoidal quadrature,
 
-        int_Omega S|_{t=0}  ==  nu int_Omega d_y^4 phi_ini
-                                + 2 int_0^l (1 - e^{lambda - phi_ini|x=L}) dy
+        int_Omega S|_{t=0}  ==  int_0^l (d_x q|_{x=-L} - d_x q|_{x=L}) dy
 
-    and warns (advisory only) when the mismatch exceeds 1e-6 max(1, |lhs|).
-    Omega is the full-height strip |x| <= L and, when l < 1, the band
-    L <= |x| <= 0.5, l <= y <= 1, each rectangle on 401 x 401 points.  The
-    band's columns are mirror-closed at y = l and y = 1, as in the solver.
+    with d_x q = `assembly.sheath_law` of phi_ini on each face, and warns
+    (advisory only) when the mismatch exceeds 1e-6 max(1, |lhs|).  Omega is
+    the full-height strip |x| <= L and, when l < 1, the band L <= |x| <= 0.5,
+    l <= y <= 1, each rectangle on 401 x 401 points; each face has 401.
     """
-    L, l, lam, nu = phys.L, phys.limiter_height, phys.lambda_ref, phys.nu
-    ys = np.linspace(0.0, 1.0, _COMPAT_POINTS)
-    rectangles = [(np.linspace(-L, L, _COMPAT_POINTS), ys)]
+    L, l, lam = phys.L, phys.limiter_height, phys.lambda_ref
+    n = 401  # quadrature points per direction
+    rectangles = [(np.linspace(-L, L, n), np.linspace(0.0, 1.0, n))]
     if l < 1.0:
-        band_ys = np.linspace(l, 1.0, _COMPAT_POINTS)
-        rectangles += [
-            (np.linspace(-0.5, -L, _COMPAT_POINTS), band_ys),
-            (np.linspace(L, 0.5, _COMPAT_POINTS), band_ys),
-        ]
-    integrals = [_rectangle_integrals(phi_ini, source, xs, y) for xs, y in rectangles]
-    lhs = sum(s for s, _ in integrals)
-    rhs = nu * sum(d4 for _, d4 in integrals)
+        band_ys = np.linspace(l, 1.0, n)
+        rectangles += [(np.linspace(-0.5, -L, n), band_ys), (np.linspace(L, 0.5, n), band_ys)]
+    lhs = 0.0
+    if source is not None:
+        for xs, ys in rectangles:
+            X, Y = np.meshgrid(xs, ys, indexing="ij")
+            s0 = np.broadcast_to(np.asarray(source(0.0, X, Y), dtype=float), X.shape)
+            lhs += float(np.trapezoid(np.trapezoid(s0, ys, axis=1), xs))
 
-    ys_face = ys[ys <= l + 1e-12]
-    phi_face = np.broadcast_to(
-        np.asarray(phi_ini(np.full_like(ys_face, L), ys_face), dtype=float),
-        ys_face.shape,
+    ys = np.linspace(0.0, l, n)
+    phi_w, phi_e = (
+        np.broadcast_to(np.asarray(phi_ini(np.full_like(ys, x), ys), dtype=float), ys.shape)
+        for x in (-L, L)
     )
-    rhs += 2.0 * float(np.trapezoid(1.0 - np.exp(lam - phi_face), ys_face))
+    rhs = float(np.trapezoid(sheath_law(-1, phi_w, lam) - sheath_law(1, phi_e, lam), ys))
 
     mismatch = abs(lhs - rhs)
     ok = mismatch <= 1e-6 * max(1.0, abs(lhs))

@@ -10,7 +10,7 @@ from edgepot.cli import (
     spec_echo,
     write_csv,
 )
-from edgepot import errors
+from edgepot import errors, verification
 from edgepot.errors import ConfigError, ParseError, UnknownKeyError
 from edgepot.geometry import DiscConfig, PhysConfig, build_grid
 from edgepot.timeloop import init_state
@@ -235,6 +235,31 @@ def test_main_unwritable_output_path_exits_1(tmp_path, capsys, args, target):
     assert main(args + [str(path), "--dx", "0.1", "--dy", "0.1"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "command,driver",
+    [
+        ("mms-convergence", "run_mms_convergence"),
+        ("eta-sweep", "run_eta_sweep"),
+        ("condition-study", "run_condition_study"),
+    ],
+)
+@pytest.mark.parametrize("below", [False, True], ids=["outdir", "outdir parent"])
+def test_main_study_refuses_an_outdir_file_before_the_study_runs(
+    tmp_path, capsys, monkeypatch, command, driver, below
+):
+    def never(*args, **kwargs):
+        raise AssertionError(f"{driver} ran before the outdir was checked")
+
+    monkeypatch.setattr(verification, driver, never)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    outdir = blocker / "out" if below else blocker
+    assert main([command, "--outdir", str(outdir)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "not a directory" in err
+    assert blocker.read_text() == ""  # left as it was
 
 
 def test_main_run_zero_source(capsys, tmp_path):

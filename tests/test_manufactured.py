@@ -58,13 +58,13 @@ def test_q_vanishes_on_the_anchor_line():
 def test_source_vanishes_at_t0():
     x = np.linspace(-0.4, 0.4, 9)
     y = np.linspace(0.0, 1.0, 11)
-    s = mms_source(0.0, x[:, None], y[None, :], eta=0.1, nu=2.0, lambda_ref=0.0)
+    s = mms_source(0.0, x[:, None], y[None, :], eta=0.1, nu=2.0)
     assert np.abs(s).max() == 0.0
 
 
 def test_source_finite_as_eta_vanishes():
-    s0 = mms_source(0.7, 0.1, 0.3, eta=0.0, nu=1.0, lambda_ref=0.0)
-    s1 = mms_source(0.7, 0.1, 0.3, eta=1e-12, nu=1.0, lambda_ref=0.0)
+    s0 = mms_source(0.7, 0.1, 0.3, eta=0.0, nu=1.0)
+    s1 = mms_source(0.7, 0.1, 0.3, eta=1e-12, nu=1.0)
     assert np.isfinite(s0)
     assert s1 == pytest.approx(s0, abs=1e-10)
 
@@ -118,14 +118,14 @@ def _fd_operator_oracle(t, x, y, eta, nu, lam, L=0.4, h=1e-3, dps=50):
 )
 def test_source_matches_fd_operator_oracle(t, x, y, eta, nu):
     oracle = _fd_operator_oracle(t, x, y, eta, nu, lam=0.0)
-    ours = mms_source(t, x, y, eta=eta, nu=nu, lambda_ref=0.0)
+    ours = mms_source(t, x, y, eta=eta, nu=nu)
     assert abs(ours - oracle) <= 1e-6
 
 
 def test_source_matches_fd_operator_oracle_at_another_L():
     t, x, y, eta, nu, L = 0.9, -0.2, 0.3, 1e-2, 1.0, 0.3
     oracle = _fd_operator_oracle(t, x, y, eta, nu, lam=0.0, L=L)
-    ours = mms_source(t, x, y, eta=eta, nu=nu, lambda_ref=0.0, L=L)
+    ours = mms_source(t, x, y, eta=eta, nu=nu, L=L)
     assert abs(ours - oracle) <= 1e-6
 
 

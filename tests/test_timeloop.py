@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,11 @@ def make(eta=1e-3, lam=0.0, nu=1.0, T=0.01, dx=0.1, dy=0.1, dt=1e-3):
     phys = PhysConfig(eta=eta, nu=nu, lambda_ref=lam, t_end=T)
     disc = DiscConfig(dx=dx, dy=dy, dt=dt, mode="strip")
     return build_grid(phys, disc), phys, disc
+
+
+def make_system(scheme="ap", **kw):
+    grid, phys, disc = make(**kw)
+    return build_system(grid, phys, disc, scheme)
 
 
 # ---- initialization -------------------------------------------------------
@@ -113,22 +120,20 @@ def test_one_step_defect_bounded_by_dt_and_mesh():
 
 
 def test_run_executes_t_over_dt_steps():
-    grid, phys, disc = make(T=0.01, dt=1e-3)
-    final = run(grid, phys, disc, ZERO_FORCING, lambda x, y: np.zeros_like(x))
+    final = run(make_system(T=0.01, dt=1e-3), ZERO_FORCING, lambda x, y: np.zeros_like(x))
     assert final.n == 10
     assert final.t == pytest.approx(0.01)
 
 
 def test_run_zero_config_returns_zero():
-    grid, phys, disc = make()
-    final = run(grid, phys, disc, ZERO_FORCING, lambda x, y: np.zeros_like(x))
+    final = run(make_system(), ZERO_FORCING, lambda x, y: np.zeros_like(x))
     assert np.all(final.u == 0.0)
 
 
 def test_run_t_zero_returns_initial_state():
-    grid, phys, disc = make()
-    phys0 = PhysConfig(eta=phys.eta, t_end=0.0)
-    final = run(grid, phys0, disc, ZERO_FORCING, lambda x, y: np.full_like(x, 1.5))
+    system = make_system()
+    system = replace(system, phys=replace(system.phys, t_end=0.0))  # below what configs accept
+    final = run(system, ZERO_FORCING, lambda x, y: np.full_like(x, 1.5))
     assert final.n == 0
     assert np.all(final.phi == 1.5)
 
@@ -148,18 +153,14 @@ def test_run_factorizes_exactly_once(monkeypatch):
         return original(matrix)
 
     monkeypatch.setattr(edgepot.timeloop, "lu_factorize", counting)
-    grid, phys, disc = make(T=0.1, dt=1e-3)  # 100 steps
-    run(grid, phys, disc, ZERO_FORCING, lambda x, y: np.zeros_like(x))
+    run(make_system(T=0.1, dt=1e-3), ZERO_FORCING, lambda x, y: np.zeros_like(x))  # 100 steps
     assert len(calls) == 1
 
 
 def test_observers_see_initial_state_and_every_step():
-    grid, phys, disc = make(T=0.005, dt=1e-3)
     seen = []
     run(
-        grid,
-        phys,
-        disc,
+        make_system(T=0.005, dt=1e-3),
         ZERO_FORCING,
         lambda x, y: np.zeros_like(x),
         observers=[lambda s: seen.append(s.n)],
@@ -168,10 +169,9 @@ def test_observers_see_initial_state_and_every_step():
 
 
 def test_run_naive_scheme():
-    grid, phys, disc = make(eta=1e-2, lam=1.0, T=0.01)
     final = run(
-        grid, phys, disc, ZERO_FORCING,
-        lambda x, y: np.full_like(x, 1.0), scheme="naive",
+        make_system("naive", eta=1e-2, lam=1.0, T=0.01), ZERO_FORCING,
+        lambda x, y: np.full_like(x, 1.0),
     )
     assert final.q is None
     assert np.abs(final.phi - 1.0).max() <= 1e-9
@@ -184,7 +184,7 @@ def test_anchor_entries_stay_zero_and_splitting_holds():
     ms = corrected_mms(phys.eta, phys.nu, phys.lambda_ref)
     deviations = []
     final = run(
-        grid, phys, disc, ms.forcing, ms.phi_ini,
+        build_system(grid, phys, disc, "ap"), ms.forcing, ms.phi_ini,
         observers=[
             lambda s: deviations.append(micro_macro_deviation(grid, s.u, phys.eta))
         ],

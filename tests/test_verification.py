@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -61,13 +62,6 @@ def test_l2_norm_second_order_on_generic_smooth_field():
         _, y = grid.node_coords()
         errs.append(abs(l2_norm(grid, np.exp(y)) - exact))
     assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.2)
-
-
-def test_l2_norm_accepts_plasma_only_vector():
-    grid = strip_grid()
-    full = np.ones(len(grid.phi_nodes))
-    plasma = np.ones(len(grid.plasma_ordinals))
-    assert l2_norm(grid, plasma) == l2_norm(grid, full)
 
 
 def test_l2_norm_scales_linearly():
@@ -174,7 +168,7 @@ def test_eta_sweep_exact_zero_limit():
     from edgepot.timeloop import run
 
     run(
-        grid, phys, disc,
+        build_system(grid, phys, disc, "ap"),
         Forcing(volume=lambda t, x, y: eq4_source(t, x, y, 0.4)),
         lambda x, y: np.zeros_like(x),
         observers=[obs],
@@ -247,7 +241,7 @@ def test_compatibility_reference_mms_config():
     report = validate_compatibility(
         phys,
         lambda x, y: np.full_like(np.asarray(x, dtype=float), 0.3),
-        lambda t, x, y: mms_source(t, x, y, phys.eta, phys.nu, 0.3),
+        lambda t, x, y: mms_source(t, x, y, phys.eta, phys.nu),
     )
     assert report.ok
 
@@ -278,6 +272,55 @@ def test_compatibility_integrates_over_the_band_in_full_geometry():
         )
     assert report.lhs == pytest.approx(0.9)
     assert report.rhs == pytest.approx(0.0, abs=1e-12)
+
+
+def _constant_source(value):
+    return lambda t, x, y: np.full_like(np.asarray(x, dtype=float), value)
+
+
+def test_compatibility_face_integral_ends_at_the_limiter_height():
+    # constant data: lhs = S |Omega| and rhs = 2 l (1 - e^{lambda - c}) exactly
+    phys = PhysConfig(eta=1e-3, L=0.4, limiter_height=1 / 3)
+    area = 2 * phys.L + (1 - 2 * phys.L) * (1 - phys.limiter_height)
+    rhs = 2 * phys.limiter_height * (1 - np.exp(-1.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = validate_compatibility(
+            phys, lambda x, y: np.ones_like(np.asarray(x, dtype=float)),
+            _constant_source(rhs / area),
+        )
+    assert report.ok
+    assert report.rhs == pytest.approx(rhs, rel=1e-14)
+    assert report.mismatch <= 1e-14
+
+
+@pytest.mark.parametrize(
+    "phi_ini",
+    [lambda x, y: 0.01 * np.exp(8 * y) + 0 * x,
+     lambda x, y: np.cos(3 * np.pi * y) + y**4 / 2 + 0 * x],
+    ids=["exp", "cos"],
+)
+def test_compatibility_rhs_is_the_face_integral_alone(phi_ini):
+    # nu d_y^4 phi integrates to zero under the wall conditions, so only the
+    # sheath fluxes through the two faces remain
+    phys = PhysConfig(eta=1e-3, nu=1.0)
+    ys = np.linspace(0.0, 1.0, 401)
+    faces = 2 * np.trapezoid(1 - np.exp(-phi_ini(0 * ys, ys)), ys)
+    report = validate_compatibility(phys, phi_ini, _constant_source(faces / (2 * phys.L)))
+    assert report.ok
+    assert report.rhs == pytest.approx(faces, rel=1e-14)
+
+
+def test_compatibility_reads_both_faces_of_x_dependent_data():
+    # phi_ini = x: int_0^1 (1 - e^{L}) + (1 - e^{-L}) dy, not twice the east face
+    phys = PhysConfig(eta=1e-3, L=0.4)
+    faces = 2 - np.exp(phys.L) - np.exp(-phys.L)
+    report = validate_compatibility(
+        phys, lambda x, y: np.asarray(x, dtype=float) + 0 * y,
+        _constant_source(faces / (2 * phys.L)),
+    )
+    assert report.ok
+    assert report.rhs == pytest.approx(faces, rel=1e-14)
 
 
 # ---- linear stability --------------------------------------------------------
