@@ -112,6 +112,13 @@ def _select(cols: np.ndarray, n_cols: int, value: float = 1.0) -> sps.csr_matrix
     return sps.csr_matrix((np.full(n, value), (np.arange(n), cols)), shape=(n, n_cols))
 
 
+def _on_field(rows: sps.csr_matrix, field: int) -> sps.csr_matrix:
+    """Stencil rows that read the phi slots, moved to read ``field`` (slots are 2 ordinal + field)."""
+    if field == PHI:
+        return rows
+    return sps.csr_matrix((rows.data, rows.indices + (field - PHI), rows.indptr), shape=rows.shape)
+
+
 def _place(blocks, n: int, fold: int) -> sps.csr_matrix:
     """Stack (coupled row slots, operator) blocks into one n x n CSR matrix.
 
@@ -173,12 +180,14 @@ def build_system(grid: Grid, phys: PhysConfig, disc: DiscConfig, scheme: str) ->
     k = grid.plasma_ordinals
     i, j = grid.phi_nodes[k].T
     prev = dyy_row(grid, PHI, i, j) * (-1.0 / dt)
-    evolution = prev + dyyyy_row(grid, PHI, i, j) * nu + dxx_row(grid, x_field, i, j) * x_coef
+    dxx = dxx_row(grid, PHI, i, j)
+    dxx_x = _on_field(dxx, x_field)
+    evolution = prev + dyyyy_row(grid, PHI, i, j) * nu + dxx_x * x_coef
     src_rows = 2 * k + PHI
     blocks = [(src_rows, evolution)]
     if ap:
         a, c = i == grid.I1, i != grid.I1
-        coupling = dxx_row(grid, PHI, i[c], j[c]) + dxx_row(grid, Q, i[c], j[c]) * -eta
+        coupling = dxx[c] + dxx_x[c] * -eta
         blocks += [
             (2 * k[a] + Q, _select(2 * k[a] + Q, N)),
             (2 * k[c] + Q, coupling),
@@ -190,11 +199,12 @@ def build_system(grid: Grid, phys: PhysConfig, disc: DiscConfig, scheme: str) ->
     jj = np.tile(jf, 2)
     col = np.where(side < 0, grid.I1, grid.I2)
     ghost = col + side
-    if ap:
-        flux = dx_central_row(grid, PHI, col, jj) + dx_central_row(grid, Q, col, jj) * -eta
-        blocks.append((grid.slot(PHI, ghost, jj), flux))
+    dx = dx_central_row(grid, PHI, col, jj)
+    dx_sheath = _on_field(dx, sheath_field)  # D_x q, or D_x phi in the single-field scheme
+    if ap:  # flux match D_x phi = eta D_x q
+        blocks.append((grid.slot(PHI, ghost, jj), dx + dx_sheath * -eta))
     sheath_rows, face_phi = grid.slot(Q, ghost, jj), grid.slot(PHI, col, jj)
-    sheath = dx_central_row(grid, sheath_field, col, jj) + _select(face_phi, N, side * phi_coef)
+    sheath = dx_sheath + _select(face_phi, N, side * phi_coef)
     blocks.append((sheath_rows, sheath))
 
     n = N // fold

@@ -26,6 +26,13 @@ permutations of A.
   direct method of Hockney, J. ACM 1965, and Buzbee, Golub & Nielson,
   SIAM J. Numer. Anal. 1970).  B is row-scaled to unit max entry per row
   and factored by one SuperLU call.
+  - The form is checked on A's own compressed rows, with no rebuilt copy
+    of A: the X's come from the middle block row; block rows 2 .. Ny - 3,
+    where D and D^2 have one stencil, must repeat that row shifted by
+    whole blocks, and it must be symmetric and reach no further than two
+    blocks; only the four wall block rows are compared with rows of the
+    form.  B is formed as arrays on the m x m pattern of the X's, repeated
+    once per mode, and goes to SuperLU in compressed-column form.
   - A strip grid is one block, every unknown, and no interface.
   - A full grid is two blocks, the gap columns I1 + 1 .. I2 on every row
     and the band columns I2 + 2 .. I1 - 2 (periodic) above the limiter,
@@ -77,6 +84,13 @@ trim whether the previous factorization's freed memory stays resident
 depends on the heap layout, and the peak resident size of a process that
 factors repeatedly varies by about 10 MB from run to run at N = 42,182.
 
+The mode matrices go to SuperLU in their natural column order
+(``permc_spec="NATURAL"``).  B is block diagonal with banded blocks (4
+sub- and 5 superdiagonals at N = 42,182), so COLAMD's order costs time and
+saves no fill: there SuperLU took 15 ms in natural order against 23 ms,
+with 256,570 fill entries against 256,578, and on the criterion-2 systems
+at h = 0.0125 the fill is within 0.5% of COLAMD's.
+
 The column-block factorization holds little beyond its factors while it
 runs.  S is built one read position at a time: for position r of a block,
 the rows of A_bb^-1 at r and the columns at the written positions form an
@@ -119,7 +133,7 @@ POWER_SEED = 1234  # seed of the start vectors of every power iteration
 _COND_TOL = 1e-4  # relative step at which the condition estimate stops
 _log = logging.getLogger(__name__)
 # SuperLU options of the mode matrices only (see the module docstring).
-_MODE_SPLU_OPTIONS = {"panel_size": 1, "relax": 1}
+_MODE_SPLU_OPTIONS = {"permc_spec": "NATURAL", "panel_size": 1, "relax": 1}
 
 try:
     _malloc_trim = ctypes.CDLL(None).malloc_trim
@@ -159,6 +173,7 @@ class _CosineModes:
     weights: np.ndarray  # (1, 2, ..., 2, 1) / (2 (ny - 1)): V^-1 = diag(weights) DCT-I
     row_scale: np.ndarray  # 1 / (row max of B), aligned with the rows of B
     lu: spla.SuperLU
+    solve_scale: np.ndarray  # row_scale / (2 (ny - 1)), for `solve`
     coupling: dict = field(default_factory=dict)  # "N", "T" -> _Coupling, with an interface
 
     @property
@@ -188,9 +203,19 @@ class _CosineModes:
         return c.reshape(u.shape)
 
     def solve(self, rhs: np.ndarray, trans: str) -> np.ndarray:
-        """A_bb^-1 rhs (A_bb^-T rhs for trans 'T'), for a block of every unknown in order."""
-        c = self.mode_solve(rhs.reshape(self.ny, -1), trans)
-        return self.from_modes(c, trans).ravel()
+        """A_bb^-1 rhs (A_bb^-T rhs for trans 'T'), for a block of every unknown in order.
+
+        With A, the weights scale whole modes, so they commute with the
+        block-diagonal B and cancel between V^-1 and V: a solve is one DCT-I
+        each way, the inverse's 1/(2 (ny - 1)) folded into ``solve_scale``.
+        With A^T they scale the grid rows on either side of the transforms
+        and stay.
+        """
+        u = rhs.reshape(self.ny, -1)
+        if trans == "N":
+            c = self.lu.solve(self.solve_scale * scipy.fft.dct(u, type=1, axis=0).ravel())
+            return scipy.fft.dct(c.reshape(u.shape), type=1, axis=0).ravel()
+        return self.forward(self.mode_solve(u, trans)).ravel()
 
     def inverse_columns(self, positions: np.ndarray, trans: str) -> np.ndarray:
         """(ny, m, len(positions)): columns ``positions`` of B_p^-1 (or B_p^-T) per mode p."""
@@ -277,50 +302,89 @@ def _checked_splu(
 
 
 def _kronecker_parts(a: sps.csr_matrix, ny: int, a_max: float):
-    """(X1, X2, X3) if A = I (x) X1 + D (x) X2 + D^2 (x) X3 with D of size ny, else None.
+    """(rows, cols, x) if A = I (x) X1 + D (x) X2 + D^2 (x) X3 with D of size ny, else None.
 
-    The X's come from the middle block row, where the D and D^2 stencils
-    are (1, -2, 1) and (1, -4, 6, -4, 1).
+    x[k] holds X_{k+1} on one m x m pattern (rows, cols), in column-major
+    order.  The X's come from the middle block row, where the D and D^2
+    stencils are (1, -2, 1) and (1, -4, 6, -4, 1).  Block rows 2 .. ny - 3
+    of D and D^2 are that one stencil, so A has the form there if the
+    middle row is symmetric (blocks -1 and -2 equal blocks +1 and +2, and
+    no block lies further out) and the other rows repeat its column indices
+    shifted by whole blocks, and its values.  The four wall block rows are
+    compared with rows of the form.  Values agree to 1e-13 max|A|.
     """
     if ny < _MIN_BLOCK_ROWS:
         return None
-    m = a.shape[0] // ny
+    if not a.has_canonical_format:  # sorted, unique column indices in every row
+        a = a.copy()
+        a.sum_duplicates()
+    n, ptr = a.shape[0], a.indptr
+    m = n // ny
+    tol = _KRON_RTOL * a_max
     j = ny // 2
-    block_row = a[j * m : (j + 1) * m]
-
-    def block(k):
-        return block_row[:, (j + k) * m : (j + k + 1) * m]
-
-    x3 = block(2)
-    x2 = block(1) + 4.0 * x3
-    x1 = block(0) + 2.0 * x2 - 6.0 * x3
-    d = mirror_dyy(ny)
-    rebuilt = sps.kron(sps.identity(ny), x1) + sps.kron(d, x2) + sps.kron(d @ d, x3)
-    err = abs(rebuilt.tocsr() - a)
-    if err.nnz and err.max() > _KRON_RTOL * a_max:
+    mid = slice(ptr[j * m], ptr[(j + 1) * m])
+    per_row = np.diff(ptr[j * m : (j + 1) * m + 1])
+    col, val = a.indices[mid], a.data[mid]
+    block = col // m - j
+    if (np.abs(block) > 2).any():
         return None
-    return x1, x2, x3
+    union, at = np.unique((col % m) * m + np.repeat(np.arange(m), per_row), return_inverse=True)
+    b = np.zeros((5, union.size))  # blocks -2 .. 2 of the middle row
+    b[block + 2, at] = val
+    if np.abs(b[:2] - b[:2:-1]).max(initial=0.0) > tol:
+        return None
+    x3 = b[4]
+    x2 = b[3] + 4.0 * x3
+    x1 = b[2] + 2.0 * x2 - 6.0 * x3
+    x = np.stack([x1, x2, x3])
+    inner = slice(ptr[2 * m], ptr[(ny - 2) * m])
+    shift = (np.arange(2, ny - 2) - j)[:, None] * m
+    if (
+        (np.diff(ptr[2 * m : (ny - 2) * m + 1]).reshape(ny - 4, m) != per_row).any()
+        or (a.indices[inner].reshape(ny - 4, -1) != col + shift).any()
+        or np.abs(a.data[inner].reshape(ny - 4, -1) - val).max(initial=0.0) > tol
+    ):
+        return None
+    # wall block rows 0, 1 span block columns 0 .. 3 and rows ny - 2, ny - 1
+    # span ny - 4 .. ny - 1, where D and D^2 read as on a column of four rows
+    d = mirror_dyy(4).toarray()
+    want = np.einsum("pwk,pu->wku", np.stack([np.eye(4), d, d @ d]), x)
+    rows, cols = union % m, union // m
+    first = np.array([0, 0, ny - 4, ny - 4])[:, None, None] + np.arange(4)[:, None]
+    wall_rows = np.broadcast_to(np.arange(4)[:, None, None] * m + rows, want.shape)
+    wall_cols = first * m + cols
+    walls = sps.csr_matrix((want.ravel(), (wall_rows.ravel(), wall_cols.ravel())), shape=(4 * m, n))
+    got = a[(np.array([0, 1, ny - 2, ny - 1])[:, None] * m + np.arange(m)).ravel()]
+    err = abs(walls - got)
+    if err.nnz and err.max() > tol:
+        return None
+    return rows, cols, x
 
 
-def _factorize_modes(ny: int, x1, x2, x3):
-    """(SuperLU, row scale) of the row-scaled blockdiag_k(X1 + mu_k X2 + mu_k^2 X3)."""
+def _scaled_modes(ny: int, m: int, rows, cols, x) -> tuple[sps.csc_matrix, np.ndarray]:
+    """(R B, row scale) of B = blockdiag_k(X1 + mu_k X2 + mu_k^2 X3), R = diag(1 / row max of |B|).
+
+    ``rows``, ``cols`` and ``x`` are as `_kronecker_parts` returns them.
+    Every mode block takes that pattern, with values summed as
+    (v1 + mu_k v2) + mu_k^2 v3, and exact zeros (mode 0 has mu = 0)
+    dropped, so B is bit for bit the sparse sum of Kronecker products
+    I (x) X1 + diag(mu) (x) X2 + diag(mu^2) (x) X3.  R B is built in the
+    compressed-column form SuperLU takes.
+    """
     mu = 2.0 * np.cos(np.pi * np.arange(ny) / (ny - 1)) - 2.0
-    b = (
-        sps.kron(sps.identity(ny), x1)
-        + sps.kron(sps.diags(mu), x2)
-        + sps.kron(sps.diags(mu * mu), x3)
-    ).tocsr()
-    row_max = abs(b).max(axis=1).toarray().ravel()
+    data = ((x[0] + mu[:, None] * x[1]) + (mu * mu)[:, None] * x[2]).ravel()
+    indices = (np.arange(ny)[:, None] * m + rows).ravel()  # row of each entry, mode by mode
+    row_max = np.zeros(ny * m)
+    np.maximum.at(row_max, indices, np.abs(data))
     if not (row_max > 0).all():
         r = int(np.argmin(row_max))
-        raise SingularPivotError(
-            f"SingularPivot: row {r % x1.shape[0]} of cosine mode {r // x1.shape[0]} is zero"
-        )
+        raise SingularPivotError(f"SingularPivot: row {r % m} of cosine mode {r // m} is zero")
     row_scale = 1.0 / row_max
-    lu = _checked_splu(
-        sps.diags(row_scale) @ b, _PIVOT_RTOL, " (row-scaled cosine modes)", **_MODE_SPLU_OPTIONS
-    )
-    return lu, row_scale
+    data *= row_scale[indices]
+    indptr = np.concatenate([[0], np.cumsum(np.tile(np.bincount(cols, minlength=m), ny))])
+    b = sps.csc_matrix((data, indices, indptr), shape=(ny * m, ny * m))
+    b.eliminate_zeros()
+    return b, row_scale
 
 
 def _couplings(block: _CosineModes, a_ib: sps.csr_matrix, a_bi: sps.csr_matrix) -> dict:
@@ -429,10 +493,11 @@ def _factorize_blocks(a: sps.csr_matrix, a_max: float, layout: ColumnBlocks) -> 
         parts = _kronecker_parts(a_bb, b.shape[0], a_max)
         if parts is None:
             raise _OffLayout(f"block {k} is off the Kronecker form")
-        lu, row_scale = _factorize_modes(b.shape[0], *parts)
+        rb, row_scale = _scaled_modes(*b.shape, *parts)
+        lu = _checked_splu(rb, _PIVOT_RTOL, " (row-scaled cosine modes)", **_MODE_SPLU_OPTIONS)
         weights = np.full(b.shape[0], 1.0 / (b.shape[0] - 1))
         weights[[0, -1]] /= 2.0
-        block = _CosineModes(b, weights, row_scale, lu)
+        block = _CosineModes(b, weights, row_scale, lu, row_scale / (2 * (b.shape[0] - 1)))
         if not whole:
             block = replace(block, coupling=_couplings(block, a[iface][:, idx], a[idx][:, iface]))
         blocks.append(block)
@@ -456,7 +521,7 @@ def lu_factorize(matrix: sps.spmatrix) -> LUFactors:
     if _malloc_trim is not None:
         _malloc_trim(0)
     a = matrix.tocsr()
-    a_max = abs(a).max() if a.nnz else 0.0
+    a_max = np.abs(a.data).max() if a.nnz else 0.0
     layout = getattr(matrix, "column_blocks", None)
     if layout is not None:
         try:

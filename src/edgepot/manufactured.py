@@ -92,12 +92,12 @@ def mms_source(t, x, y, eta: float, nu: float, *, L: float = 0.4):
     if np.any(arg <= 0):
         raise LogDomainError(f"log argument non-positive at t = {t}")
     w = np.cos(np.pi * y)
-    cx = np.cos(k * x)
     a = c * t * t
     u = arg
     pi2 = np.pi**2
-    micro = eta * (2.0 * t * w * cx + nu * pi2 * t * t * w * cx)
-    xterm = (1.0 / (2.0 * L)) ** 2 * t * t * w * cx  # -d_x^2 A = (k/pi)^2 t^2 w cx
+    # eta (-d_t d_y^2 A + nu d_y^4 A) - d_x^2 A = coef w cos(k x), with
+    # -d_x^2 A = (k/pi)^2 t^2 w cos(k x); the log terms depend on y alone
+    coef = eta * (2.0 * t + nu * pi2 * t * t) + (1.0 / (2.0 * L)) ** 2 * t * t
     t_yy_log = 2.0 * pi2 * c * t * (w + a * w * w - 2.0 * a) / u**3
     y4_log = (
         nu
@@ -113,7 +113,7 @@ def mms_source(t, x, y, eta: float, nu: float, *, L: float = 0.4):
         )
         / u**4
     )
-    return micro + xterm + t_yy_log + y4_log
+    return (coef * w) * np.cos(k * x) + (t_yy_log + y4_log)
 
 
 def mms_phi_literal(t, x, y, eta: float, lambda_ref: float):

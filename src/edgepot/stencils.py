@@ -35,9 +35,9 @@ def mirror_dyy(ny: int) -> sps.csr_matrix:
     Rows (1, -2, 1) inside and (-2, 2) at the walls; its square carries the
     folded fourth-difference rows (6, -8, 2) and (-4, 7, -4, 1).
     """
-    d = sps.diags([1.0, -2.0, 1.0], [-1, 0, 1], shape=(ny, ny), format="lil")
-    d[0, 1] = d[ny - 1, ny - 2] = 2.0
-    return d.tocsr()
+    upper, lower = np.ones(ny - 1), np.ones(ny - 1)
+    upper[0] = lower[-1] = 2.0
+    return sps.diags([lower, np.full(ny, -2.0), upper], [-1, 0, 1], format="csr")
 
 
 def _rows(grid: Grid, field: int, cols_i, cols_j, weights, scale: float) -> sps.csr_matrix:

@@ -478,6 +478,137 @@ def test_full_path_refuses_a_singular_interface():
         lu_factorize(a)
 
 
+# ---- the Kronecker form and the mode matrices ----------------------------------
+
+
+def kronecker_reference(a_bb, ny):
+    """(X1, X2, X3), row scale and row-scaled B, formed by sparse sums of Kronecker products."""
+    m = a_bb.shape[0] // ny
+    j = ny // 2
+    block_row = a_bb[j * m : (j + 1) * m]
+
+    def block(k):
+        return block_row[:, (j + k) * m : (j + k + 1) * m]
+
+    x3 = block(2)
+    x2 = block(1) + 4.0 * x3
+    x1 = block(0) + 2.0 * x2 - 6.0 * x3
+    mu = 2.0 * np.cos(np.pi * np.arange(ny) / (ny - 1)) - 2.0
+    b = (
+        sps.kron(sps.identity(ny), x1)
+        + sps.kron(sps.diags(mu), x2)
+        + sps.kron(sps.diags(mu * mu), x3)
+    ).tocsr()
+    row_scale = 1.0 / abs(b).max(axis=1).toarray().ravel()
+    rb = (sps.diags(row_scale) @ b).tocsc()
+    rb.eliminate_zeros()
+    return (x1, x2, x3), row_scale, rb
+
+
+@pytest.mark.parametrize("eta,scheme", [(1e-2, "ap"), (0.0, "ap"), (1e-2, "naive")])
+@pytest.mark.parametrize(
+    "make_system",
+    [lambda eta, s, h=h: strip_system(h, eta, s) for h in (0.05, 0.0125, 0.00625)]
+    + [lambda eta, s: full_system(0.0125, 0.5, eta, s)],
+    ids=["strip h=0.05", "strip h=0.0125", "strip h=0.00625", "full l=0.5 h=0.0125"],
+)
+def test_mode_matrices_equal_the_kronecker_sums(make_system, eta, scheme):
+    # B is built from arrays; the X's, row scales and B equal the Kronecker-sum formula bit for bit
+    a = make_system(eta, scheme).matrix
+    a_max = np.abs(a.data).max()
+    for b in a.column_blocks.blocks:  # on the full grid the band block is not in column order
+        ny, m = b.shape
+        a_bb = a if len(a.column_blocks.interface) == 0 else a[b.ravel()][:, b.ravel()]
+        rows, cols, x = linsolve._kronecker_parts(a_bb, ny, a_max)
+        xs, row_scale, rb = kronecker_reference(a_bb, ny)
+        for got, want in zip(x, xs):
+            assert np.array_equal(sps.coo_matrix((got, (rows, cols)), shape=(m, m)).toarray(), want.toarray())
+        got_rb, got_scale = linsolve._scaled_modes(ny, m, rows, cols, x)
+        assert np.array_equal(got_scale, row_scale)
+        for attr in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(got_rb, attr), getattr(rb, attr))
+
+
+def _bump_interior_row(a, ny, m, bump):
+    a.data[a.indptr[3 * m]] += bump  # first entry of block row 3, not the middle one
+    return a
+
+
+def _bump_block_minus_1(rows):
+    def bump_rows(a, ny, m, bump):
+        for j in (ny // 2,) if rows == "middle" else range(2, ny - 2):
+            lo, hi = a.indptr[j * m], a.indptr[(j + 1) * m]
+            a.data[lo + np.flatnonzero(a.indices[lo:hi] // m == j - 1)[0]] += bump
+        return a
+
+    return bump_rows
+
+
+def _new_entry(row_block):
+    """A new entry three blocks right of the diagonal in ``row_block`` (None: the middle one)."""
+
+    def add(a, ny, m, bump):
+        r = ny // 2 if row_block is None else row_block
+        e = sps.csr_matrix(([bump], ([r * m], [(r + 3) * m])), shape=a.shape)
+        out = (a + e).tocsr()
+        out.column_blocks = a.column_blocks
+        return out
+
+    return add
+
+
+@pytest.mark.parametrize(
+    "perturb",
+    [_bump_interior_row, _bump_block_minus_1("middle"), _bump_block_minus_1("interior"),
+     _new_entry(None), _new_entry(3), _new_entry(1)],
+    ids=["interior_row", "middle_row_block_-1", "every_interior_row_block_-1",
+         "middle_row_block_+3", "interior_row_block_+3", "wall_row_block_+3"],
+)
+def test_strip_path_falls_back_to_superlu_off_the_kronecker_form(perturb, caplog):
+    # 1e-12 max|A| is ten times the tolerance of the form
+    a = strip_system(0.05, 1e-3, "ap").matrix
+    ny, m = a.column_blocks.blocks[0].shape
+    a = perturb(a, ny, m, 1e-12 * np.abs(a.data).max())
+    with caplog.at_level(logging.WARNING, logger="edgepot.linsolve"):
+        f = lu_factorize(a)
+    assert on_superlu(f)
+    assert [r.getMessage() for r in caplog.records] == [
+        "column blocks not used, factoring by SuperLU: block 0 is off the Kronecker form"
+    ]
+
+
+@pytest.mark.parametrize(
+    "perturb", [_bump_interior_row, _bump_block_minus_1("middle")], ids=["interior_row", "middle_row"]
+)
+def test_strip_path_holds_the_kronecker_form_to_its_tolerance(perturb, caplog):
+    a = strip_system(0.05, 1e-3, "ap").matrix
+    ny, m = a.column_blocks.blocks[0].shape
+    a = perturb(a, ny, m, 1e-14 * np.abs(a.data).max())
+    with caplog.at_level(logging.WARNING, logger="edgepot.linsolve"):
+        f = lu_factorize(a)
+    assert not on_superlu(f) and not caplog.records
+
+
+@pytest.mark.parametrize(
+    "eta,scheme",
+    [(eta, s) for eta in (1e-2, 1e-4, 1e-6, 1e-8, 0.0) for s in ("ap", "naive") if s == "ap" or eta > 0],
+)
+def test_condition_sweep_systems_factor_in_natural_order(eta, scheme):
+    # the mode matrices are banded: COLAMD's order saves them no fill (seen at most +0.5% here)
+    a = strip_system(0.0125, eta, scheme).matrix
+    f = lu_factorize(a)
+    assert not on_superlu(f) and f.interface is None
+    (block,) = f.pieces
+    n = a.shape[0]
+    assert np.array_equal(block.lu.perm_c, np.arange(n))
+    ny, m = a.column_blocks.blocks[0].shape
+    parts = linsolve._kronecker_parts(a, ny, np.abs(a.data).max())
+    rb, _ = linsolve._scaled_modes(ny, m, *parts)
+    colamd = spla.splu(rb, permc_spec="COLAMD", panel_size=1, relax=1)
+    fill = block.lu.L.nnz + block.lu.U.nnz
+    assert abs(fill / (colamd.L.nnz + colamd.U.nnz) - 1.0) <= 0.01
+
+
 # ---- Ruiz equilibration and the estimator on model matrices -----------------
 
 

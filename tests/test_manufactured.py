@@ -129,6 +129,34 @@ def test_source_matches_fd_operator_oracle_at_another_L():
     assert abs(ours - oracle) <= 1e-6
 
 
+def mms_source_by_terms(t, x, y, eta, nu, L):
+    """mms_source summed term by term, each term on the whole grid."""
+    r = 1.0 / (2.0 * L)
+    k, c = r * np.pi, r / np.pi
+    w, cx = np.cos(np.pi * y), np.cos(k * x)
+    a, pi2 = c * t * t, np.pi**2
+    u = 1.0 - a * w
+    micro = eta * (2.0 * t * w * cx + nu * pi2 * t * t * w * cx)
+    xterm = r**2 * t * t * w * cx
+    t_yy_log = 2.0 * pi2 * c * t * (w + a * w * w - 2.0 * a) / u**3
+    y4_log = nu * a * pi2 * pi2 * (
+        6.0 * a**3 - 4.0 * a + (1.0 - 4.0 * a * a) * w + (4.0 * a - 4.0 * a**3) * w * w + a * a * w**3
+    ) / u**4
+    return micro + xterm + t_yy_log + y4_log
+
+
+@pytest.mark.parametrize("t", [0.0, 0.37, 1.0])
+@pytest.mark.parametrize("h", [0.05, 0.025, 0.0125, 0.00625])
+def test_source_matches_its_term_by_term_sum_on_the_criterion_1_grids(h, t):
+    # mms_source folds the x-dependent terms into one product and the y-only terms into one column
+    x = (-0.4 + h * np.arange(round(0.8 / h) + 1))[None, :]
+    y = (h * np.arange(round(1.0 / h) + 1))[:, None]
+    got = mms_source(t, x, y, eta=1e-3, nu=1.0, L=0.4)
+    want = mms_source_by_terms(t, x, y, eta=1e-3, nu=1.0, L=0.4)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
 def test_smooth_source_matches_fd_operator_oracle():
     t, x, y, eta, nu, lam = 0.6, 0.15, 0.45, 1e-2, 1.5, 0.2
     mp.mp.dps = 50
