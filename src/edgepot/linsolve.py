@@ -18,14 +18,18 @@ permutations of A.
   where D is the unscaled mirror second difference in y
   (`stencils.mirror_dyy`), with rows (1, -2, 1) inside and (-2, 2) at the
   walls, and X1, X2, X3 are m x m.
-  The DCT-I diagonalises D: D = V diag(mu) V^-1 with V[j, k] =
-  cos(pi j k / (Ny - 1)) and mu_k = 2 cos(pi k / (Ny - 1)) - 2.  So
-  A_bb = (V (x) I) B (V^-1 (x) I) with B = blockdiag_k(X1 + mu_k X2 +
-  mu_k^2 X3), and a block solve is a cosine transform along y, Ny
-  independent banded solves along x and the inverse transform (the fast
-  direct method of Hockney, J. ACM 1965, and Buzbee, Golub & Nielson,
-  SIAM J. Numer. Anal. 1970).  B is row-scaled to unit max entry per row
-  and factored by one SuperLU call.
+  Let C be the unnormalised DCT-I along y, C[k, j] = e_j cos(pi j k /
+  (Ny - 1)) with E = diag(e) = diag(1, 2, ..., 2, 1); C C = 2 (Ny - 1) I.
+  V = C E^-1 diagonalises D: D = V diag(mu) V^-1 with mu_k =
+  2 cos(pi k / (Ny - 1)) - 2 and V^-1 = E C / (2 (Ny - 1)).  So A_bb =
+  (V (x) I) B (V^-1 (x) I) with B = blockdiag_k(X1 + mu_k X2 + mu_k^2 X3).
+  E scales whole modes, so it commutes with B and cancels: A_bb^-1 =
+  (C (x) I) B^-1 (C (x) I) / (2 (Ny - 1)) and A_bb^-T = (E C (x) I) B^-T
+  (C E^-1 (x) I) / (2 (Ny - 1)).  A block solve is a DCT-I along y, Ny
+  independent banded solves along x and a DCT-I (the fast direct method of
+  Hockney, J. ACM 1965, and Buzbee, Golub & Nielson, SIAM J. Numer. Anal.
+  1970).  B is row-scaled to unit max entry per row and factored by one
+  SuperLU call.
   - The form is checked on A's own compressed rows, with no rebuilt copy
     of A: the X's come from the middle block row; block rows 2 .. Ny - 3,
     where D and D^2 have one stencil, must repeat that row shifted by
@@ -155,8 +159,8 @@ class _Coupling:
     ``read`` of the block, through ``a_ib`` (interface x (row, read
     position)); the block rows take the interface values through ``a_bi``
     ((row, written position) x interface); ``w[p]`` holds the columns of
-    the inverse of mode block p at the written positions (B_p^-1 for A,
-    B_p^-T for A^T).
+    B_p^-1 / (2 (ny - 1)) at the written positions (of B_p^-T / (2 (ny - 1))
+    for A^T), p the cosine mode.
     """
 
     read: np.ndarray
@@ -165,69 +169,59 @@ class _Coupling:
     w: np.ndarray  # (ny, m, written positions)
 
 
+def _dct1(u: np.ndarray) -> np.ndarray:
+    """C u, C the unnormalised DCT-I along axis 0 (see the module docstring)."""
+    return scipy.fft.dct(u, type=1, axis=0)
+
+
 @dataclass(frozen=True)
 class _CosineModes:
-    """One column block: its cosine transform and the factors of the scaled B."""
+    """One column block and the factors of its row-scaled mode matrix R B.
+
+    A solve is `from_modes(mode_solve(u))`: C B^-1 C / (2 (ny - 1)) with
+    A_bb, E C B^-T C E^-1 / (2 (ny - 1)) with A_bb^T.
+    """
 
     index: np.ndarray  # (ny, m) unknowns
-    weights: np.ndarray  # (1, 2, ..., 2, 1) / (2 (ny - 1)): V^-1 = diag(weights) DCT-I
-    row_scale: np.ndarray  # 1 / (row max of B), aligned with the rows of B
-    lu: spla.SuperLU
-    solve_scale: np.ndarray  # row_scale / (2 (ny - 1)), for `solve`
+    scale: np.ndarray  # R / (2 (ny - 1)), R = 1 / (row max of B), aligned with the rows of B
+    lu: spla.SuperLU  # of R B
     coupling: dict = field(default_factory=dict)  # "N", "T" -> _Coupling, with an interface
 
-    @property
-    def ny(self) -> int:
-        return len(self.weights)
-
-    def forward(self, u: np.ndarray) -> np.ndarray:
-        """(V^-1 (x) I) u for u laid out as (ny, m)."""
-        return self.weights[:, None] * scipy.fft.dct(u, type=1, axis=0)
-
-    def inverse(self, c: np.ndarray) -> np.ndarray:
-        """(V (x) I) c for c laid out as (ny, m)."""
-        return scipy.fft.idct(c / self.weights[:, None], type=1, axis=0)
-
     def to_modes(self, u: np.ndarray, trans: str) -> np.ndarray:
-        return self.forward(u) if trans == "N" else self.inverse(u)
+        """(C (x) I) u, or (C E^-1 (x) I) u for trans 'T', for u laid out as (ny, m)."""
+        if trans == "T":
+            u = u.copy()
+            u[1:-1] *= 0.5
+        return _dct1(u)
 
     def from_modes(self, c: np.ndarray, trans: str) -> np.ndarray:
-        return self.inverse(c) if trans == "N" else self.forward(c)
+        """(C (x) I) c, or (E C (x) I) c for trans 'T', for c laid out as (ny, m)."""
+        u = _dct1(c)
+        if trans == "T":
+            u[1:-1] *= 2.0
+        return u
+
+    def solve_b(self, v: np.ndarray, trans: str) -> np.ndarray:
+        """B^-1 v (B^-T v for trans 'T') / (2 (ny - 1)), for v with one row per row of B."""
+        scale = self.scale if v.ndim == 1 else self.scale[:, None]
+        if trans == "N":
+            return self.lu.solve(scale * v)
+        return scale * self.lu.solve(v, trans="T")
 
     def mode_solve(self, u: np.ndarray, trans: str) -> np.ndarray:
-        """B^-1 (V^-1 (x) I) u, or B^-T (V (x) I) u for trans 'T', laid out as u."""
-        if trans == "N":
-            c = self.lu.solve(self.row_scale * self.forward(u).ravel())
-        else:
-            c = self.row_scale * self.lu.solve(self.inverse(u).ravel(), trans=trans)
-        return c.reshape(u.shape)
+        """B^-1 (C (x) I) u (B^-T (C E^-1 (x) I) u for 'T') / (2 (ny - 1)), laid out as u."""
+        return self.solve_b(self.to_modes(u, trans).ravel(), trans).reshape(u.shape)
 
     def solve(self, rhs: np.ndarray, trans: str) -> np.ndarray:
-        """A_bb^-1 rhs (A_bb^-T rhs for trans 'T'), for a block of every unknown in order.
-
-        With A, the weights scale whole modes, so they commute with the
-        block-diagonal B and cancel between V^-1 and V: a solve is one DCT-I
-        each way, the inverse's 1/(2 (ny - 1)) folded into ``solve_scale``.
-        With A^T they scale the grid rows on either side of the transforms
-        and stay.
-        """
-        u = rhs.reshape(self.ny, -1)
-        if trans == "N":
-            c = self.lu.solve(self.solve_scale * scipy.fft.dct(u, type=1, axis=0).ravel())
-            return scipy.fft.dct(c.reshape(u.shape), type=1, axis=0).ravel()
-        return self.forward(self.mode_solve(u, trans)).ravel()
+        """A_bb^-1 rhs (A_bb^-T rhs for trans 'T'), for a block of every unknown in order."""
+        return self.from_modes(self.mode_solve(rhs.reshape(self.index.shape), trans), trans).ravel()
 
     def inverse_columns(self, positions: np.ndarray, trans: str) -> np.ndarray:
-        """(ny, m, len(positions)): columns ``positions`` of B_p^-1 (or B_p^-T) per mode p."""
-        m = len(self.row_scale) // self.ny
-        e = np.zeros((self.ny, m, len(positions)))
+        """(ny, m, k): the k columns ``positions`` of B_p^-1 (B_p^-T) / (2 (ny - 1)), per mode p."""
+        ny, m = self.index.shape
+        e = np.zeros((ny, m, len(positions)))
         e[:, positions, np.arange(len(positions))] = 1.0
-        e = e.reshape(-1, len(positions))
-        if trans == "N":
-            w = self.lu.solve(self.row_scale[:, None] * e)
-        else:
-            w = self.row_scale[:, None] * self.lu.solve(e, trans="T")
-        return w.reshape(self.ny, m, -1)
+        return self.solve_b(e.reshape(-1, len(positions)), trans).reshape(ny, m, -1)
 
 
 @dataclass(frozen=True)
@@ -292,13 +286,18 @@ def _checked_splu(
         lu = spla.splu(matrix.tocsc(), **options)
     except RuntimeError as exc:  # SuperLU reports exact singularity this way
         raise SingularPivotError(f"SingularPivot: {exc}") from exc
-    u_diag = np.abs(lu.U.diagonal())
-    if u_diag.size < matrix.shape[0] or not (u_diag > threshold).all():
+    _check_pivots(lu.U.diagonal(), matrix.shape[0], threshold, what)
+    return lu
+
+
+def _check_pivots(diag: np.ndarray, n: int, threshold: float, what: str) -> None:
+    """SingularPivotError unless ``diag`` holds n pivots, each above threshold in modulus."""
+    u_diag = np.abs(diag)
+    if u_diag.size < n or not (u_diag > threshold).all():
         worst = float(u_diag.min()) if u_diag.size else 0.0
         raise SingularPivotError(
             f"SingularPivot: pivot {worst:.3e} below threshold {threshold:.3e}{what}"
         )
-    return lu
 
 
 def _kronecker_parts(a: sps.csr_matrix, ny: int, a_max: float):
@@ -393,7 +392,7 @@ def _couplings(block: _CosineModes, a_ib: sps.csr_matrix, a_bi: sps.csr_matrix) 
     ``a_ib`` and ``a_bi`` are the interface-block and block-interface parts
     of A, with block columns and rows in (row, position) order.
     """
-    ny, m = block.ny, a_ib.shape[1] // block.ny
+    ny, m = block.index.shape
     read = np.unique(a_ib.indices % m)  # positions the interface rows of A read
     written = np.unique(a_bi.tocoo().row % m)  # positions the interface columns of A reach
     rows = np.arange(ny)[:, None] * m
@@ -408,22 +407,23 @@ def _couplings(block: _CosineModes, a_ib: sps.csr_matrix, a_bi: sps.csr_matrix) 
 def _schur_complement(a_ii: sps.csr_matrix, blocks) -> np.ndarray:
     """S = A_II - sum_b A_Ib A_bb^-1 A_bI, dense.
 
-    A_bb^-1 = (V (x) I) B^-1 (V^-1 (x) I), so its entry between position
-    r of row j and position w of row j' is sum_p V[j, p] (B_p^-1)[r, w]
-    V^-1[p, j'].  For each read position r this is the ny x (ny W) array
-    V diag_p(B_p^-1[r, written]) V^-1, one GEMM; only the interface rows
-    that read r take it, and only through the written positions.
+    A_bb^-1 = (C (x) I) B^-1 (C (x) I) / (2 (ny - 1)), so its entry between
+    position r of row j and written position s of row j' is sum_p C[j, p]
+    w[p, r, s] C[p, j'], w the block's `_Coupling` columns for A.  For each
+    read position r this is the ny x (ny W) array C diag_p(w[p, r]) C, one
+    GEMM; only the interface rows that read r take it, and only through the
+    written positions.
     """
     s = a_ii.toarray()
     for block in blocks:
         link = block.coupling["N"]
-        eye = np.eye(block.ny)
-        v, v_inv = block.inverse(eye), block.forward(eye)
+        ny = block.index.shape[0]
+        cos = _dct1(np.eye(ny))
         n_read = len(link.read)
         for k, r in enumerate(link.read):
             a_ir = link.a_ib[:, k::n_read]  # interface x grid row, at position r
             rows = np.flatnonzero(np.diff(a_ir.indptr))
-            inv = v @ (v_inv[:, :, None] * link.w[:, r, None, :]).reshape(block.ny, -1)
+            inv = cos @ (cos[:, :, None] * link.w[:, r, None, :]).reshape(ny, -1)
             s[rows] -= link.a_bi.T.dot((a_ir[rows] @ inv).T).T
     return s
 
@@ -441,12 +441,8 @@ def _factorize_interface(index: np.ndarray, s: np.ndarray) -> _Interface:
     row_scale = 1.0 / row_max
     s *= row_scale[:, None]
     lu_piv = scipy.linalg.lu_factor(s)
-    worst = float(np.abs(np.diag(lu_piv[0])).min())
-    if not worst > _PIVOT_RTOL:
-        raise SingularPivotError(
-            f"SingularPivot: pivot {worst:.3e} below threshold {_PIVOT_RTOL:.3e} "
-            "(row-scaled interface Schur complement)"
-        )
+    what = " (row-scaled interface Schur complement)"
+    _check_pivots(np.diag(lu_piv[0]), len(s), _PIVOT_RTOL, what)
     return _Interface(index, row_scale, lu_piv)
 
 
@@ -495,9 +491,7 @@ def _factorize_blocks(a: sps.csr_matrix, a_max: float, layout: ColumnBlocks) -> 
             raise _OffLayout(f"block {k} is off the Kronecker form")
         rb, row_scale = _scaled_modes(*b.shape, *parts)
         lu = _checked_splu(rb, _PIVOT_RTOL, " (row-scaled cosine modes)", **_MODE_SPLU_OPTIONS)
-        weights = np.full(b.shape[0], 1.0 / (b.shape[0] - 1))
-        weights[[0, -1]] /= 2.0
-        block = _CosineModes(b, weights, row_scale, lu, row_scale / (2 * (b.shape[0] - 1)))
+        block = _CosineModes(b, row_scale / (2 * (b.shape[0] - 1)), lu)
         if not whole:
             block = replace(block, coupling=_couplings(block, a[iface][:, idx], a[idx][:, iface]))
         blocks.append(block)
@@ -534,13 +528,14 @@ def lu_factorize(matrix: sps.spmatrix) -> LUFactors:
 def lu_solve(factors: LUFactors, rhs: np.ndarray, trans: str = "N") -> np.ndarray:
     """Solve A x = b (or A^T x = b with trans='T') through the factors.
 
-    On the cosine-mode path each block has A_bb = (V (x) I) B (V^-1 (x) I),
-    and V is symmetric, so A_bb^-1 = (V (x) I) B^-1 (V^-1 (x) I) and
-    A_bb^-T = (V^-1 (x) I) B^-T (V (x) I).  With an interface, the block
-    solves give the interface right-hand side g = b_I - sum_b A_Ib y_b,
-    S x_I = g, and each block subtracts B^-1 (V^-1 (x) I) A_bI x_I from its
-    mode coefficients before the inverse transform (transposed for 'T').
+    On the cosine-mode path, with an interface, the block solves give the
+    interface right-hand side g = b_I - sum_b A_Ib A_bb^-1 b_b, S x_I = g,
+    and each block subtracts B^-1 (C (x) I) A_bI x_I / (2 (ny - 1)) from its
+    mode coefficients before the last DCT-I (transposed for 'T').  Any
+    ``trans`` but 'N' or 'T' raises ValueError.
     """
+    if trans not in ("N", "T"):
+        raise ValueError(f"trans must be 'N' or 'T', got {trans!r}")
     rhs = np.asarray(rhs, dtype=np.float64)
     if rhs.shape != (factors.n,):
         raise DimensionMismatchError(
@@ -550,7 +545,7 @@ def lu_solve(factors: LUFactors, rhs: np.ndarray, trans: str = "N") -> np.ndarra
     if iface is None:  # SuperLU's factors, or one block holding every unknown in order
         return factors.pieces[0].solve(rhs, trans=trans)
     blocks = factors.pieces
-    links = [block.coupling["N" if trans == "N" else "T"] for block in blocks]
+    links = [block.coupling[trans] for block in blocks]
     coeffs = [block.mode_solve(rhs[block.index], trans) for block in blocks]
     g = rhs[iface.index]
     for block, link, c in zip(blocks, links, coeffs):
@@ -559,7 +554,7 @@ def lu_solve(factors: LUFactors, rhs: np.ndarray, trans: str = "N") -> np.ndarra
     out = np.empty(factors.n)
     out[iface.index] = x
     for block, link, c in zip(blocks, links, coeffs):
-        z = block.to_modes((link.a_bi @ x).reshape(block.ny, -1), trans)
+        z = block.to_modes((link.a_bi @ x).reshape(len(block.index), -1), trans)
         c -= np.matmul(link.w, z[:, :, None])[:, :, 0]
         out[block.index] = block.from_modes(c, trans)
     return out

@@ -1,4 +1,5 @@
 import logging
+import re
 import tracemalloc
 
 import numpy as np
@@ -476,6 +477,42 @@ def test_full_path_refuses_a_singular_interface():
     a.data[np.isin(rows, grid.slot(Q, grid.I1, np.arange(grid.Ny)))] = 0.0  # the anchor rows
     with pytest.raises(SingularPivotError, match="interface Schur complement"):
         lu_factorize(a)
+
+
+@pytest.mark.parametrize("diag", [[1.0, 1e-14], [-1.0, -1e-14], [1.0], [1.0, np.nan], []])
+def test_pivot_check_refuses_a_small_missing_or_nan_pivot(diag):
+    with pytest.raises(SingularPivotError, match=re.escape("below threshold 1.000e-14 (what)")):
+        linsolve._check_pivots(np.array(diag), 2, 1e-14, " (what)")
+    linsolve._check_pivots(np.array([1.0, -1.1e-14]), 2, 1e-14, " (what)")
+
+
+SOLVE_PATHS = {
+    "superlu": lambda: random_dd(60, seed=17),
+    "strip": lambda: strip_system(0.05, 1e-3, "ap").matrix,
+    "full": lambda: full_system(0.05, 0.5, 1e-3, "ap").matrix,
+}
+
+
+@pytest.mark.parametrize("trans", ["n", "t", "H", "X"])
+@pytest.mark.parametrize("path", list(SOLVE_PATHS))
+def test_solve_refuses_a_trans_other_than_n_or_t(path, trans):
+    # SuperLU also takes 'n', 't' and 'H'; with 'n' the cosine-mode paths solved neither A nor A^T
+    f = lu_factorize(SOLVE_PATHS[path]())
+    with pytest.raises(ValueError, match=f"got '{trans}'"):
+        lu_solve(f, np.ones(f.n), trans=trans)
+
+
+@pytest.mark.parametrize("trans", ["N", "T"])
+@pytest.mark.parametrize("path", list(SOLVE_PATHS))
+def test_solve_leaves_its_right_hand_side_unchanged(path, trans):
+    a = SOLVE_PATHS[path]()
+    f = lu_factorize(a)
+    assert on_superlu(f) == (path == "superlu") and (f.interface is None) == (path != "full")
+    b = np.random.default_rng(41).standard_normal(f.n)
+    kept = b.copy()
+    x = lu_solve(f, b, trans=trans)
+    assert np.array_equal(b, kept)
+    assert backward_error(a if trans == "N" else a.T, x, b) <= 1e-15
 
 
 # ---- the Kronecker form and the mode matrices ----------------------------------
