@@ -42,6 +42,11 @@ row D_x q = D_x phi / eta, so the evolution x-term becomes
 
 Only the evolution and sheath rows remain, in the phi-only layout: every
 row and column index is the coupled slot // 2, the node ordinal.
+
+Each row kind is a fixed-width table of columns and weights, built from
+the stencil tables and written into one CSR matrix by `stencils.table_csr`;
+``prev_op`` is the -D_yy/dt part of the evolution table.  An evolution
+weight is (D2 / dy^2)(-1/dt) + (D4 / dy^4) nu, then the x part.
 """
 
 from __future__ import annotations
@@ -52,12 +57,14 @@ from typing import Callable, Optional
 import numpy as np
 import scipy.sparse as sps
 
-from .errors import EtaZeroUndefinedError, NonFiniteSourceError, SingularStructureError
+from .errors import EtaZeroUndefinedError, NonFiniteSourceError, NumericalError
+from .errors import SingularStructureError
 from .geometry import PHI, Q, DiscConfig, Grid, PhysConfig
-from .stencils import dx_central_row, dxx_row, dyy_row, dyyyy_row
+from .stencils import DX, DXX, table_csr, x_table, y_table
 
 
 SCHEMES = ("ap", "naive")
+SHEATH_HEADROOM = 700.0  # largest |lambda - phi| taken at a face; exp overflows above 709.78
 
 
 def sheath_law(side, phi, lambda_ref: float):
@@ -91,7 +98,7 @@ ZERO_FORCING = Forcing()
 
 
 def check_csr(matrix: sps.csr_matrix) -> None:
-    """Assert the CSR invariants: square, no empty row/column, sorted columns."""
+    """Assert the CSR invariants: square, no empty row/column, sorted unique columns per row."""
     n, m = matrix.shape
     if n != m:
         raise SingularStructureError(f"matrix is {n}x{m}, not square")
@@ -102,37 +109,8 @@ def check_csr(matrix: sps.csr_matrix) -> None:
     col_seen[matrix.indices] = True
     if not col_seen.all():
         raise SingularStructureError(f"empty column {int(np.argmin(col_seen))}")
-    if not matrix.has_sorted_indices:
-        raise SingularStructureError("column indices not sorted within rows")
-
-
-def _select(cols: np.ndarray, n_cols: int, value: float = 1.0) -> sps.csr_matrix:
-    """One row per entry of ``cols``, holding ``value`` in that column."""
-    n = len(cols)
-    return sps.csr_matrix((np.full(n, value), (np.arange(n), cols)), shape=(n, n_cols))
-
-
-def _on_field(rows: sps.csr_matrix, field: int) -> sps.csr_matrix:
-    """Stencil rows that read the phi slots, moved to read ``field`` (slots are 2 ordinal + field)."""
-    if field == PHI:
-        return rows
-    return sps.csr_matrix((rows.data, rows.indices + (field - PHI), rows.indptr), shape=rows.shape)
-
-
-def _place(blocks, n: int, fold: int) -> sps.csr_matrix:
-    """Stack (coupled row slots, operator) blocks into one n x n CSR matrix.
-
-    ``fold = 2`` maps every row and column slot onto the phi-only layout of
-    the single-field scheme (slot // 2 is the node ordinal).
-    """
-    coo = [(rows, op.tocoo()) for rows, op in blocks]
-    r = np.concatenate([rows[op.row] for rows, op in coo]) // fold
-    c = np.concatenate([op.col for _, op in coo]) // fold
-    v = np.concatenate([op.data for _, op in coo])
-    m = sps.csr_matrix((v, (r, c)), shape=(n, n), dtype=np.float64)
-    m.sum_duplicates()
-    m.eliminate_zeros()  # eta = 0 contributions are structural zeros
-    return m
+    if not matrix.has_canonical_format:
+        raise SingularStructureError("column indices not sorted, or repeated, within rows")
 
 
 @dataclass
@@ -173,25 +151,34 @@ def build_system(grid: Grid, phys: PhysConfig, disc: DiscConfig, scheme: str) ->
             "use the coupled scheme at eta = 0"
         )
     fold = 1 if ap else 2
+    fields = 2 // fold  # unknowns per node: node ordinal o holds fields * o + field
     x_field, x_coef = (Q, -1.0) if ap else (PHI, -1.0 / eta)
     sheath_field, phi_coef = (Q, 1.0) if ap else (PHI, eta)
-    N = grid.N
+
+    def unknowns(ordinals):  # columns of every unknown at each table node, phi before q
+        return (fields * ordinals[..., None] + np.arange(fields)).reshape(len(ordinals), -1)
+
+    def minus_eta_q(w):  # weights of D phi - eta D q on unknowns(x table), w those of D
+        return np.column_stack([w, w * -eta]).ravel()
 
     k = grid.plasma_ordinals
     i, j = grid.phi_nodes[k].T
-    prev = dyy_row(grid, PHI, i, j) * (-1.0 / dt)
-    dxx = dxx_row(grid, PHI, i, j)
-    dxx_x = _on_field(dxx, x_field)
-    evolution = prev + dyyyy_row(grid, PHI, i, j) * nu + dxx_x * x_coef
+    x = unknowns(x_table(grid, i, j))
+    y, d2, d4 = y_table(grid, i, j)
+    y = fields * y + PHI
+    prev = (d2 * (1.0 / grid.dy**2)) * (-1.0 / dt)
+    y_part = prev + (d4 * (1.0 / grid.dy**4)) * nu
+    dxx = DXX * (1.0 / grid.dx**2)
+    # the node's own grid row: the x part on x_field, the y part's centre at phi
+    own_row = np.zeros((len(k), 3 * fields))
+    own_row[:, x_field::fields] = dxx * x_coef
+    own_row[:, fields + PHI] += y_part[:, 2]
     src_rows = 2 * k + PHI
-    blocks = [(src_rows, evolution)]
-    if ap:
-        a, c = i == grid.I1, i != grid.I1
-        coupling = dxx[c] + dxx_x[c] * -eta
-        blocks += [
-            (2 * k[a] + Q, _select(2 * k[a] + Q, N)),
-            (2 * k[c] + Q, coupling),
-        ]
+    kinds = [(src_rows // fold, np.hstack([y[:, :2], x, y[:, 3:]]),
+              np.hstack([y_part[:, :2], own_row, y_part[:, 3:]]))]
+    if ap:  # coupling D_xx phi - eta D_xx q = 0, or the anchor q = 0 on column I1
+        anchor = np.eye(6)[fields + Q]
+        kinds.append((2 * k + Q, x, np.where((i == grid.I1)[:, None], anchor, minus_eta_q(dxx))))
 
     # both faces in one pass: face column I1 (side -1) or I2 (+1), ghost beyond it
     jf = np.asarray(grid.face_rows())
@@ -199,18 +186,20 @@ def build_system(grid: Grid, phys: PhysConfig, disc: DiscConfig, scheme: str) ->
     jj = np.tile(jf, 2)
     col = np.where(side < 0, grid.I1, grid.I2)
     ghost = col + side
-    dx = dx_central_row(grid, PHI, col, jj)
-    dx_sheath = _on_field(dx, sheath_field)  # D_x q, or D_x phi in the single-field scheme
+    face = unknowns(x_table(grid, col, jj))
+    dx = DX * (1.0 / (2.0 * grid.dx))
     if ap:  # flux match D_x phi = eta D_x q
-        blocks.append((grid.slot(PHI, ghost, jj), dx + dx_sheath * -eta))
+        kinds.append((grid.slot(PHI, ghost, jj), face, minus_eta_q(dx)))
     sheath_rows, face_phi = grid.slot(Q, ghost, jj), grid.slot(PHI, col, jj)
-    sheath = dx_sheath + _select(face_phi, N, side * phi_coef)
-    blocks.append((sheath_rows, sheath))
+    sheath = np.zeros((len(jj), 3 * fields))
+    sheath[:, sheath_field::fields] = dx  # D_x q, or D_x phi in the single-field scheme
+    sheath[:, fields + PHI] = side * phi_coef
+    kinds.append((sheath_rows // fold, face, sheath))
 
-    n = N // fold
-    matrix = _place(blocks, n, fold)
+    n = grid.N // fold
+    matrix = table_csr((n, n), kinds)
     check_csr(matrix)
-    matrix.column_blocks = grid.column_blocks(fields=2 // fold)
+    matrix.column_blocks = grid.column_blocks(fields=fields)
     src_i, at_i = np.unique(i, return_inverse=True)
     src_j, at_j = np.unique(j, return_inverse=True)
     return System(
@@ -219,7 +208,7 @@ def build_system(grid: Grid, phys: PhysConfig, disc: DiscConfig, scheme: str) ->
         disc=disc,
         scheme=scheme,
         matrix=matrix,
-        prev_op=_place([(src_rows, prev)], n, fold),
+        prev_op=table_csr((n, n), [(src_rows // fold, y[:, 1:4], prev[:, 1:4])]),  # D2 reaches +-1
         src_rows=src_rows // fold,
         src_x=grid.x(src_i)[None, :],
         src_y=grid.y(src_j)[:, None],
@@ -236,6 +225,8 @@ def assemble_ap_rhs(system: System, state, forcing: Forcing) -> np.ndarray:
 
     Evolution rows: -(D_yy phi^n)/dt + S(t^{n+1}); coupling, anchor and
     flux-match rows: 0; sheath rows: the linearized face data from phi^n.
+    A NumericalError refuses the step when |lambda - phi^n| exceeds
+    ``SHEATH_HEADROOM`` at a face, before exp can overflow.
     """
     t_next = state.t + system.disc.dt
     b = system.prev_op @ state.u
@@ -246,6 +237,15 @@ def assemble_ap_rhs(system: System, state, forcing: Forcing) -> np.ndarray:
         volume = np.broadcast_to(forcing.volume(t_next, system.src_x, system.src_y), shape)
         b[system.src_rows] += volume.reshape(-1)[system.src_at]
     phi, side = state.u[system.sheath_phi], system.sheath_side
+    exponent = system.phys.lambda_ref - phi
+    over = np.flatnonzero(np.abs(exponent) > SHEATH_HEADROOM)
+    if over.size:
+        r = over[0]
+        raise NumericalError(
+            f"sheath exponent lambda - phi = {exponent[r]:.6g} beyond the headroom "
+            f"+-{SHEATH_HEADROOM:g} on the {'west' if side[r] < 0 else 'east'} face at "
+            f"y = {system.sheath_y[r]:g}; refusing step {state.n + 1} to t = {t_next:g}"
+        )
     sheath = sheath_law(side, phi, system.phys.lambda_ref) + side * phi
     if forcing.sheath is not None:
         sheath += forcing.sheath(t_next, side, system.sheath_y)

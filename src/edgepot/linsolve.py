@@ -35,8 +35,10 @@ permutations of A.
     where D and D^2 have one stencil, must repeat that row shifted by
     whole blocks, and it must be symmetric and reach no further than two
     blocks; only the four wall block rows are compared with rows of the
-    form.  B is formed as arrays on the m x m pattern of the X's, repeated
-    once per mode, and goes to SuperLU in compressed-column form.
+    form, as arrays over their four block columns and the pattern of the
+    X's (an entry off those against 0).  B is formed as arrays on the m x m
+    pattern of the X's, repeated once per mode, and goes to SuperLU in
+    compressed-column form.
   - A strip grid is one block, every unknown, and no interface.
   - A full grid is two blocks, the gap columns I1 + 1 .. I2 on every row
     and the band columns I2 + 2 .. I1 - 2 (periodic) above the limiter,
@@ -133,6 +135,7 @@ from .stencils import mirror_dyy
 _PIVOT_RTOL = 1e-14
 _KRON_RTOL = 1e-13  # rebuilt Kronecker form against the matrix, relative to max|A|
 _MIN_BLOCK_ROWS = 5  # the middle block row must carry the interior D^2 stencil
+_WALL_D = mirror_dyy(4).toarray()  # D on a column of four rows, as the wall block rows read it
 POWER_SEED = 1234  # seed of the start vectors of every power iteration
 _COND_TOL = 1e-4  # relative step at which the condition estimate stops
 _log = logging.getLogger(__name__)
@@ -345,19 +348,22 @@ def _kronecker_parts(a: sps.csr_matrix, ny: int, a_max: float):
     ):
         return None
     # wall block rows 0, 1 span block columns 0 .. 3 and rows ny - 2, ny - 1
-    # span ny - 4 .. ny - 1, where D and D^2 read as on a column of four rows
-    d = mirror_dyy(4).toarray()
-    want = np.einsum("pwk,pu->wku", np.stack([np.eye(4), d, d @ d]), x)
-    rows, cols = union % m, union // m
-    first = np.array([0, 0, ny - 4, ny - 4])[:, None, None] + np.arange(4)[:, None]
-    wall_rows = np.broadcast_to(np.arange(4)[:, None, None] * m + rows, want.shape)
-    wall_cols = first * m + cols
-    walls = sps.csr_matrix((want.ravel(), (wall_rows.ravel(), wall_cols.ravel())), shape=(4 * m, n))
-    got = a[(np.array([0, 1, ny - 2, ny - 1])[:, None] * m + np.arange(m)).ravel()]
-    err = abs(walls - got)
-    if err.nnz and err.max() > tol:
+    # span ny - 4 .. ny - 1, where D and D^2 read as on a column of four rows;
+    # compared as (wall row, block column, pattern entry), any other entry with 0
+    want = np.einsum("pwk,pu->wku", np.stack([np.eye(4), _WALL_D, _WALL_D @ _WALL_D]), x)
+    top = (ny - 2) * m
+    wall = np.r_[0 : ptr[2 * m], ptr[top] : ptr[n]]
+    r = np.repeat(np.arange(4 * m), np.diff(ptr)[np.r_[0 : 2 * m, top:n]])  # of the 4 m wall rows
+    c = a.indices[wall] - np.where(r < 2 * m, 0, (ny - 4) * m)  # in the window
+    entry = np.full(m * m, union.size)
+    entry[union] = np.arange(union.size)
+    u = np.where((0 <= c) & (c < 4 * m), entry[(c % m) * m + r % m], union.size)
+    on = u < union.size
+    got = np.zeros_like(want)
+    got[r[on] // m, c[on] // m, u[on]] = a.data[wall[on]]
+    if max(np.abs(want - got).max(), np.abs(a.data[wall[~on]]).max(initial=0.0)) > tol:
         return None
-    return rows, cols, x
+    return union % m, union // m, x
 
 
 def _scaled_modes(ny: int, m: int, rows, cols, x) -> tuple[sps.csc_matrix, np.ndarray]:

@@ -1,8 +1,10 @@
+import hashlib
 from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.io
+import scipy.sparse as sps
 
 from edgepot.assembly import (
     Forcing,
@@ -13,11 +15,16 @@ from edgepot.assembly import (
     micro_macro_deviation,
     write_matrix_market,
 )
-from edgepot.errors import EtaZeroUndefinedError, NonFiniteSourceError
+from edgepot.errors import (
+    EtaZeroUndefinedError,
+    NonFiniteSourceError,
+    NumericalError,
+    SingularStructureError,
+)
 from edgepot.geometry import PHI, Q, DiscConfig, PhysConfig, build_grid
-from edgepot.linsolve import lu_factorize, lu_solve
+from edgepot.linsolve import _kronecker_parts, _scaled_modes, lu_factorize, lu_solve
 from edgepot.manufactured import SOURCES, corrected_mms
-from edgepot.timeloop import State, init_state
+from edgepot.timeloop import State, init_state, step
 
 
 def make(eta=1e-3, dx=0.1, dy=0.25, dt=1e-3, lam=0.0, nu=1.0):
@@ -82,6 +89,69 @@ def test_assembly_is_bit_identical():
     an = build_system(grid, phys, disc, "naive").matrix
     bn = build_system(grid, phys, disc, "naive").matrix
     assert np.array_equal(an.data, bn.data)
+
+
+def _digest(m) -> str:
+    """sha256 of a compressed matrix's indptr, indices and data, in fixed dtypes."""
+    h = hashlib.sha256()
+    for a, dtype in ((m.indptr, np.int64), (m.indices, np.int64), (m.data, np.float64)):
+        h.update(np.ascontiguousarray(a, dtype=dtype).tobytes())
+    return h.hexdigest()
+
+
+# sha256 of the matrix, prev_op and (strip) the row-scaled cosine-mode matrix R B at
+# h = 0.05.  nu = 0.9 and dt = 7e-4 make both other orders of the single-field centre's
+# sum (y2 + y4) + x round differently, so a reordered sum changes a digest.
+_DIGESTS = {
+    ("strip", "ap", 1e-3): (
+        "65415ec62b7e479638389b39a2a3afc3649d8eee07f428081f617326fdded88f",
+        "c4b9e23fbe9831869d47ad4e83905ba8262200176cd293500fd4d8b91cdeb16a",
+        "9556e00b5ae8f0aa80e68b67cb4deed49dc16815028567f9effa2c82bb4a2873",
+    ),
+    ("strip", "naive", 1e-3): (
+        "3efce182de08e112844746abe42fc579fb8d42a6cf49d01c4c13c7330f4e1beb",
+        "fa94f3c932110cfd730372060d05a922e4dda4a2e79b5940863c2580061b4127",
+        "d98bb11088c4d189d324fb9aebc0cd25de09e7a84140ca14d2924f51dd748df2",
+    ),
+    ("strip", "ap", 0.0): (
+        "1927bd37e5ce301fcf85cded2350636590ca78b16ae3e2f5269230fe9c38a61e",
+        "c4b9e23fbe9831869d47ad4e83905ba8262200176cd293500fd4d8b91cdeb16a",
+        "fc1d284df45ba72fc0fa83f15d9cb9825b2f47546971095b5144c9d667c57d4d",
+    ),
+    ("full", "ap", 1e-3): (
+        "cd203fd03a692c26291a8ccaa5ccecad7c8ec5211837dcfbcd281e9d99ef4c35",
+        "99b5cc815e85981b6873d209bb3d059b89ef0f2409d8eb7d11c67c33be882307",
+    ),
+    ("full", "naive", 1e-3): (
+        "5352674bce36fa5785a26eb17bd2d3bbeb2127db05ee697bf538eb2d8aed0b89",
+        "fedcc4269461ca78568853468b288368b050d6ad38c021bfe4e7a7f87f3dc06c",
+    ),
+    ("full", "ap", 0.0): (
+        "99c1322dc5993dd96125e3c663c56bfc781cd250c0801645ad7c126536d73563",
+        "99b5cc815e85981b6873d209bb3d059b89ef0f2409d8eb7d11c67c33be882307",
+    ),
+}
+
+
+@pytest.mark.parametrize("mode, scheme, eta", list(_DIGESTS))
+def test_assembly_and_cosine_modes_keep_their_rounding(mode, scheme, eta):
+    phys = PhysConfig(eta=eta, nu=0.9, limiter_height=1.0 if mode == "strip" else 0.5)
+    disc = DiscConfig(dx=0.05, dy=0.05, dt=7e-4, mode=mode)
+    system = build_system(build_grid(phys, disc), phys, disc, scheme)
+    a = system.matrix
+    got = [_digest(a), _digest(system.prev_op)]
+    if mode == "strip":
+        ny, m = a.column_blocks.blocks[0].shape
+        rb, _ = _scaled_modes(ny, m, *_kronecker_parts(a, ny, np.abs(a.data).max()))
+        got.append(_digest(rb))
+    assert tuple(got) == _DIGESTS[mode, scheme, eta]
+
+
+def test_check_csr_refuses_a_repeated_column():
+    a = sps.csr_matrix((np.ones(3), np.array([0, 0, 1]), np.array([0, 2, 3])), shape=(2, 2))
+    assert a.has_sorted_indices  # sorted, but column 0 repeats in row 0
+    with pytest.raises(SingularStructureError, match="repeated"):
+        check_csr(a)
 
 
 def test_eta_zero_matrix_well_formed():
@@ -279,6 +349,19 @@ def test_rhs_rejects_non_finite_source():
     bad = Forcing(volume=lambda t, x, y: np.full_like(x, np.inf))
     with pytest.raises(NonFiniteSourceError):
         assemble_ap_rhs(system, state, bad)
+
+
+@pytest.mark.parametrize("scheme", ["ap", "naive"])
+@pytest.mark.parametrize("phi0", [-800.0, 800.0])
+def test_sheath_headroom_refuses_the_first_step(scheme, phi0):
+    # lambda = 0: exp(lambda - phi) would overflow at phi0 = -800; warnings are errors here
+    grid, phys, disc = make(dx=0.05, dy=0.05)
+    system = build_system(grid, phys, disc, scheme)
+    state = init_state(grid, phys, lambda x, y: np.full_like(x, phi0), scheme=scheme)
+    factors = lu_factorize(system.matrix)
+    msg = rf"lambda - phi = {-phi0:g} beyond the headroom \+-700 on the west face at y = 0; "
+    with pytest.raises(NumericalError, match=msg + "refusing step 1 to t = 0.001"):
+        step(state, factors, system)
 
 
 # ---- scheme equivalence and the splitting diagnostic ----------------------

@@ -205,6 +205,14 @@ def test_main_naive_eta_zero_exits_2(capsys):
     assert "EtaZeroUndefined" in capsys.readouterr().err
 
 
+def test_main_unstable_full_run_stops_at_the_sheath_headroom(capsys):
+    # full geometry at eta = 0 grows until exp(lambda - phi) would overflow
+    code = main(["run", "--mode", "full", "--l", "0.5", "--source", "eq4", "--eta", "0",
+                 "--dx", "0.025", "--dy", "0.025", "--dt", "1e-2", "--T", "1"])
+    assert code == 2
+    assert "beyond the headroom +-700" in capsys.readouterr().err
+
+
 def test_numerical_errors_are_the_exit_2_failures():
     numerical = {
         name for name, cls in vars(errors).items()
