@@ -200,8 +200,8 @@ def build_system(grid: Grid, phys: PhysConfig, disc: DiscConfig, scheme: str) ->
     matrix = table_csr((n, n), kinds)
     check_csr(matrix)
     matrix.column_blocks = grid.column_blocks(fields=fields)
-    src_i, at_i = np.unique(i, return_inverse=True)
-    src_j, at_j = np.unique(j, return_inverse=True)
+    i0 = i.min()  # the plasma nodes fill rows 0 .. Ny-1 by columns i0 .. i0+nc-1
+    nc = i.max() - i0 + 1
     return System(
         grid=grid,
         phys=phys,
@@ -210,9 +210,9 @@ def build_system(grid: Grid, phys: PhysConfig, disc: DiscConfig, scheme: str) ->
         matrix=matrix,
         prev_op=table_csr((n, n), [(src_rows // fold, y[:, 1:4], prev[:, 1:4])]),  # D2 reaches +-1
         src_rows=src_rows // fold,
-        src_x=grid.x(src_i)[None, :],
-        src_y=grid.y(src_j)[:, None],
-        src_at=at_j * len(src_i) + at_i,
+        src_x=grid.x(np.arange(i0, i0 + nc))[None, :],
+        src_y=grid.y(np.arange(grid.Ny))[:, None],
+        src_at=j * nc + (i - i0),
         sheath_rows=sheath_rows // fold,
         sheath_phi=face_phi // fold,
         sheath_side=side,

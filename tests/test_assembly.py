@@ -245,6 +245,9 @@ RHS_GEOMETRIES = {
     "strip L=0.4": (dict(), dict(dx=0.05, dy=0.05)),
     "strip L=0.3": (dict(L=0.3), dict(dx=0.05, dy=0.05)),
     "full l=0.5": (dict(limiter_height=0.5), dict(dx=0.05, dy=0.05, mode="full")),
+    "full l=0.8": (dict(limiter_height=0.8), dict(dx=0.05, dy=0.05, mode="full")),
+    # I1 = 1: both ghost columns sit on the seam, and the band block is empty
+    "full I1=1": (dict(L=0.45, limiter_height=0.5), dict(dx=0.05, dy=0.05, mode="full")),
 }
 
 

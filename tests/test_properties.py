@@ -183,3 +183,25 @@ def test_column_block_path_matches_superlu_in_full_geometry(
     factors = lu_factorize(a)
     assert factors.interface is not None  # the column-block path, not SuperLU
     assert_fast_path_matches_superlu(a, factors, trans, refined_splu_solve)
+
+
+@examples
+@given(cfg=strip_configs, eta=st.one_of(st.just(0.0), log_uniform(1e-8, 1.0)),
+       scheme=st.sampled_from(["ap", "naive"]))
+def test_strip_balance_law(cfg, eta, scheme):
+    # summed with the trapezoid weights, the y-differences telescope to zero
+    # and the x-differences to the face fluxes that the sheath rows carry:
+    # w^T P = 0, and w^T M lies on the sheath rows off the face-phi columns
+    assume(scheme == "ap" or eta > 0)
+    grid, phys, disc = make(cfg, eta)
+    system = build_system(grid, phys, disc, scheme)
+    m, p = system.matrix, system.prev_op
+    w = np.zeros(m.shape[0])
+    w[system.src_rows] = grid.quad_weights[grid.plasma_ordinals]
+    assert np.abs(p.T @ w).max() <= 1e-12 * (abs(p).T @ np.abs(w)).max()
+
+    off = np.setdiff1d(np.arange(m.shape[1]), system.sheath_phi)
+    sheath = m[system.sheath_rows][:, off].toarray()
+    flux = (m.T @ w)[off]
+    c = np.linalg.lstsq(sheath.T, flux, rcond=None)[0]
+    assert np.abs(flux - sheath.T @ c).max() <= 1e-12 * (abs(m).T @ np.abs(w)).max()

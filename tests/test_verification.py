@@ -143,6 +143,18 @@ def test_mms_convergence_single_field_matches_coupled():
     assert naive.order == pytest.approx(ap.order, rel=1e-8)
 
 
+def test_mms_convergence_coupled_error_is_uniform_in_eta():
+    # asymptotic preservation: the coupled scheme's error bound does not grow as
+    # eta -> 0; no order is pinned, as at this dt the time error dominates
+    studies = [
+        run_mms_convergence(PhysConfig(eta=eta, t_end=0.05), DISC, [0.05, 0.025])
+        for eta in (1e-1, 1e-4, 0.0)
+    ]
+    for rows in zip(*(s.rows for s in studies)):
+        errs = [r.err_l2 for r in rows]
+        assert max(errs) <= 1.05 * min(errs), errs
+
+
 @pytest.mark.parametrize("deltas", [[0.1], [0.05, 0.05]], ids=["one", "repeated"])
 def test_mms_convergence_refuses_fewer_than_two_mesh_steps(deltas):
     # a slope through one point is undefined; refused before any grid runs
