@@ -1,6 +1,7 @@
 import logging
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -12,9 +13,11 @@ from edgepot.assembly import build_system
 from edgepot.errors import DimensionMismatchError, SingularPivotError
 from edgepot.geometry import Q, ColumnBlocks, DiscConfig, PhysConfig, build_grid
 from edgepot.linsolve import (
+    POWER_SEED,
     estimate_cond2,
     lu_factorize,
     lu_solve,
+    power_iteration,
     ruiz_scalings,
 )
 
@@ -237,6 +240,37 @@ def test_ruiz_matches_matrix_product_form():
     assert got_dc == pytest.approx(dc, rel=1e-13)
     assert abs(got_b - b).max() <= 1e-13
     assert a.data == pytest.approx(svd_designed(40, 4.0, seed=29)[0].data)  # input untouched
+
+
+def test_ruiz_keeps_the_scale_of_a_zero_row_and_column():
+    dense = svd_designed(8, 4.0, seed=31)[0].toarray()
+    dense[2] = 0.0
+    dense[:, 5] = 0.0
+    a = csr(dense)
+    assert np.diff(a.indptr)[2] == 0 and 5 not in a.indices  # stored empty
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        dr, dc, b = ruiz_scalings(a)
+    assert dr[2] == 1.0 and dc[5] == 1.0
+    rn = np.sqrt(np.asarray(b.multiply(b).sum(axis=1)).ravel())
+    cn = np.sqrt(np.asarray(b.multiply(b).sum(axis=0)).ravel())
+    assert np.delete(rn, 2) == pytest.approx(np.ones(7), rel=1e-3)
+    assert np.delete(cn, 5) == pytest.approx(np.ones(7), rel=1e-3)
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])
+def test_power_iteration_stops_at_a_non_finite_norm(bad):
+    calls = []
+
+    def op(v):
+        calls.append(1)
+        return np.full_like(v, bad)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lam, k, ok = power_iteration(op, 10, np.random.default_rng(0), 1e-4, 10_000)
+    assert (k, ok, len(calls)) == (1, False, 1)
+    assert not np.isfinite(lam)
 
 
 # ---- strip path: cosine transform in y, banded solves in x -------------------
@@ -683,3 +717,71 @@ def test_cond_estimate_is_a_lower_bound_within_a_percent(mode, scheme, eta):
     truth = sv[0] / sv[-1]
     assert est.converged
     assert truth * (1 - 1e-2) <= est.value <= truth * (1 + 1e-12)
+
+
+def ruiz_fourth_root_reference(a):
+    """(dr, dc, Dr A Dc) by 20 sweeps of dr /= (dr^2 (S dc^2))^(1/4), then dc, with S = A o A."""
+    a = a.tocsr()
+    s = a.multiply(a).tocsr()
+    dr, dc = np.ones(a.shape[0]), np.ones(a.shape[1])
+    for _ in range(20):
+        rn = (dr * dr * (s @ (dc * dc))) ** 0.25
+        rn[rn == 0] = 1.0
+        dr /= rn
+        cn = (dc * dc * (s.T @ (dr * dr))) ** 0.25
+        cn[cn == 0] = 1.0
+        dc /= cn
+    return dr, dc, (sps.diags(dr) @ a @ sps.diags(dc)).tocsr()
+
+
+def cond_reference(a, factors, equilibrate):
+    """(kappa, sigma_max iterations, sigma_min iterations) with a fresh array per power step."""
+    a = a.tocsr()
+    if equilibrate:
+        dr, dc, b = ruiz_fourth_root_reference(a)
+    else:
+        dr, dc, b = np.ones(a.shape[0]), np.ones(a.shape[0]), a
+
+    def fwd(v):
+        return b.T @ (b @ v)
+
+    def inv(v):
+        y = (1.0 / dr) * lu_solve(factors, v / dc, trans="T")
+        return (1.0 / dc) * lu_solve(factors, y / dr)
+
+    rng = np.random.default_rng(POWER_SEED)
+    out = []
+    for op in (fwd, inv):
+        v = rng.standard_normal(a.shape[0])
+        v /= np.linalg.norm(v)
+        lam_old = 0.0
+        for k in range(1, 10_001):
+            w = op(v)
+            lam = float(np.linalg.norm(w))
+            v = w / lam
+            if abs(lam - lam_old) <= 1e-4 * lam:
+                break
+            lam_old = lam
+        out.append((lam, k))
+    (smax2, k1), (sinv2, k2) = out
+    return float(np.sqrt(smax2) * np.sqrt(sinv2)), k1, k2
+
+
+ESTIMATOR_SYSTEMS = {
+    "strip ap eta=1e-2": lambda: strip_system(0.05, 1e-2, "ap").matrix,
+    "strip ap eta=0": lambda: strip_system(0.05, 0.0, "ap").matrix,
+    "strip naive eta=1e-2": lambda: strip_system(0.05, 1e-2, "naive").matrix,
+    "full l=0.5 ap eta=1e-2": lambda: full_system(0.05, 0.5, 1e-2, "ap").matrix,
+}
+
+
+@pytest.mark.parametrize("name", list(ESTIMATOR_SYSTEMS))
+def test_cond_estimate_does_the_reference_work(name):
+    # same iterates to rounding: the same iteration counts and the same value
+    a = ESTIMATOR_SYSTEMS[name]()
+    factors = lu_factorize(a)
+    value, k1, k2 = cond_reference(a, factors, equilibrate=True)
+    est = estimate_cond2(a, factors, equilibrate=True)
+    assert (est.iterations_sigma_max, est.iterations_sigma_min) == (k1, k2)
+    assert est.value == pytest.approx(value, rel=1e-12)
+    assert estimate_cond2(a, factors).value == cond_reference(a, factors, equilibrate=False)[0]
