@@ -141,13 +141,6 @@ def dump_field(grid, state: State, path, header: str = "") -> None:
             fh.write(" ".join(map(repr, values)) + "\n")
 
 
-def read_field_dump(path):
-    """Inverse of dump_field: (x, y, phi, q or None) arrays."""
-    data = np.loadtxt(path, ndmin=2)
-    q = data[:, 3] if data.shape[1] > 3 else None
-    return data[:, 0], data[:, 1], data[:, 2], q
-
-
 def write_csv(rows: Sequence, path) -> None:
     """Header plus one line per record; floats at full precision, None empty."""
     with open(path, "w", newline="") as fh:
@@ -186,8 +179,15 @@ def _cmd_run(spec: RunSpec, args) -> int:
     return 0
 
 
-def _parse_float_list(raw: str) -> list[float]:
-    return [float(tok) for tok in raw.split(",") if tok.strip()]
+def _parse_float_list(flag: str, raw: str) -> list[float]:
+    """The numbers in the comma-separated value of ``--flag``; ParseError names a bad token."""
+    values = []
+    for tok in filter(str.strip, raw.split(",")):
+        try:
+            values.append(float(tok))
+        except ValueError:
+            raise ParseError(f"cannot parse {tok.strip()!r} in --{flag} as a number") from None
+    return values
 
 
 def _check_outdir(outdir: Path) -> None:
@@ -213,10 +213,10 @@ def _write_study(
 
 
 def _cmd_mms_convergence(spec: RunSpec, args) -> int:
+    grids = _parse_float_list("grids", args.grids)
     _check_outdir(spec.outdir)
     study = verification.run_mms_convergence(
-        spec.phys, spec.disc, _parse_float_list(args.grids),
-        source=spec.source, scheme=spec.scheme,
+        spec.phys, spec.disc, grids, source=spec.source, scheme=spec.scheme
     )
     _write_study(spec, "mms_convergence", study.rows,
                  f"grids={args.grids} fitted_order={study.order!r}", omit=("dx", "dy"))
@@ -225,10 +225,9 @@ def _cmd_mms_convergence(spec: RunSpec, args) -> int:
 
 
 def _cmd_eta_sweep(spec: RunSpec, args) -> int:
+    etas = _parse_float_list("etas", args.etas)
     _check_outdir(spec.outdir)
-    study = verification.run_eta_sweep(
-        spec.phys, spec.disc, _parse_float_list(args.etas), scheme=spec.scheme
-    )
+    study = verification.run_eta_sweep(spec.phys, spec.disc, etas, scheme=spec.scheme)
     _write_study(spec, "eta_sweep", study.rows,
                  f"etas={args.etas} slope_l1={study.slope_l1!r} slope_l2={study.slope_l2!r}",
                  omit=("eta", "source"))  # the sweep always runs eq4
@@ -237,8 +236,9 @@ def _cmd_eta_sweep(spec: RunSpec, args) -> int:
 
 
 def _cmd_condition_study(spec: RunSpec, args) -> int:
+    etas = _parse_float_list("etas", args.etas)
     _check_outdir(spec.outdir)
-    study = verification.run_condition_study(spec.phys, spec.disc, _parse_float_list(args.etas))
+    study = verification.run_condition_study(spec.phys, spec.disc, etas)
     _write_study(spec, "condition_study", study.rows, f"etas={args.etas}",
                  omit=("eta", "T", "scheme", "source"))
     for row in study.rows:

@@ -145,6 +145,7 @@ _KRON_RTOL = 1e-13  # rebuilt Kronecker form against the matrix, relative to max
 _MIN_BLOCK_ROWS = 5  # the middle block row must carry the interior D^2 stencil
 _WALL_D = mirror_dyy(4).toarray()  # D on a column of four rows, as the wall block rows read it
 POWER_SEED = 1234  # seed of the start vectors of every power iteration
+POWER_MAX_ITER = 10_000  # iteration cap of every power iteration
 _COND_TOL = 1e-4  # relative step at which the condition estimate stops
 _log = logging.getLogger(__name__)
 # SuperLU options of the mode matrices only (see the module docstring).
@@ -616,22 +617,20 @@ class CondEstimate:
     iterations_sigma_min: int
 
 
-def power_iteration(apply_op, n, rng, tol, max_iter):
+def power_iteration(apply_op, n, rng, tol):
     """(||op v||, iterations, converged) for the iterate v of unit norm.
 
     ||op v|| tends to the modulus of the dominant eigenvalue when that is
     simple; it has converged once it changes by at most tol of itself.  An
     iteration is one call of ``apply_op``, its norm and the division that
     makes the next iterate.  A norm of 0 returns (0, k, True); an infinite
-    or NaN norm returns (norm, k, False) at once.  Raises ValueError if
-    max_iter < 1.
+    or NaN norm returns (norm, k, False) at once.  After ``POWER_MAX_ITER``
+    iterations it returns (norm, POWER_MAX_ITER, False).
     """
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     v = rng.standard_normal(n)
     v /= np.linalg.norm(v)
     lam_old = 0.0
-    for k in range(1, max_iter + 1):
+    for k in range(1, POWER_MAX_ITER + 1):
         w = apply_op(v)
         lam = math.sqrt(w @ w)  # np.linalg.norm of a 1-D real array, bit for bit
         if not math.isfinite(lam):
@@ -642,13 +641,12 @@ def power_iteration(apply_op, n, rng, tol, max_iter):
         if abs(lam - lam_old) <= tol * lam:
             return lam, k, True
         lam_old = lam
-    return lam, max_iter, False
+    return lam, POWER_MAX_ITER, False
 
 
 def estimate_cond2(
     matrix: sps.spmatrix,
     factors: LUFactors,
-    max_iter: int = 10_000,
     equilibrate: bool = False,
 ) -> CondEstimate:
     """Euclidean condition number sigma_max / sigma_min of the matrix.
@@ -662,9 +660,9 @@ def estimate_cond2(
     h = 0.0125 and 0.00625 benchmark systems against Lanczos (``eigsh``,
     tol 1e-12) on B^T B and its inverse.
 
-    Deterministic (seed ``POWER_SEED``).  If the iteration cap is hit the
-    value is still returned, flagged with ``converged=False``;
-    ``max_iter < 1`` raises ValueError.
+    Deterministic (seed ``POWER_SEED``).  If either power iteration hits
+    ``POWER_MAX_ITER`` the value is still returned, flagged with
+    ``converged=False``.
     """
     n = matrix.shape[0]
     a = matrix.tocsr()
@@ -683,8 +681,8 @@ def estimate_cond2(
         return inv_dc * lu_solve(factors, y)
 
     rng = np.random.default_rng(POWER_SEED)
-    smax2, k1, ok1 = power_iteration(fwd, n, rng, _COND_TOL, max_iter)
-    sinv2, k2, ok2 = power_iteration(inv, n, rng, _COND_TOL, max_iter)
+    smax2, k1, ok1 = power_iteration(fwd, n, rng, _COND_TOL)
+    sinv2, k2, ok2 = power_iteration(inv, n, rng, _COND_TOL)
     return CondEstimate(
         value=float(np.sqrt(smax2) * np.sqrt(sinv2)),
         converged=ok1 and ok2,

@@ -64,13 +64,8 @@ def mms_phi(t, x, y, eta: float, lambda_ref: float, L: float = 0.4):
     return eta * (t / np.pi) ** 2 * w * np.cos(k * x) - np.log(arg) + lambda_ref
 
 
-def mms_q(t, x, y, L: float = 0.4):
-    """Micro field of the splitting: q = (phi - p)/eta, independent of eta."""
-    k, _ = _wavenumbers(L)
-    return (t / np.pi) ** 2 * np.cos(np.pi * y) * np.cos(k * x)
-
-
 def mms_q_x(t, x, y, L: float = 0.4):
+    """d_x of the splitting's micro field q = (phi - p)/eta, independent of eta."""
     k, _ = _wavenumbers(L)
     return -((t / np.pi) ** 2) * np.cos(np.pi * y) * k * np.sin(k * x)
 

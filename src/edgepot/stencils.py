@@ -1,9 +1,8 @@
 """Finite-difference stencil tables with analytic elimination of y-direction ghosts.
 
 All operators are centred and second-order.  `x_table` and `y_table` give
-the nodes each row of node arrays ``(i, j)`` reads; `assembly` writes its
-rows from them through `table_csr`, and the ``*_row`` functions are CSR
-views of them: one row per node, ``grid.N`` columns (unknowns of ``field``).
+the nodes each row of node arrays ``(i, j)`` reads; `assembly` scales their
+weights and writes its rows from them through `table_csr`.
 
 On the field-line boundaries (y = 0, y = 1, and y = l above the limiter)
 the conditions d_y phi = 0 and d_y^3 phi = 0 close the stencils: the
@@ -93,31 +92,3 @@ def table_csr(shape, kinds) -> sps.csr_matrix:
     m.eliminate_zeros()  # padding, slots outside a column, zero stencil centres, eta = 0 terms
     m.sort_indices()  # the tables list columns in order except across the periodic seam
     return m
-
-
-def _rows(grid: Grid, field: int, ordinals, weights, scale: float) -> sps.csr_matrix:
-    """Row r = sum_t (weights[r, t] * scale) u[slot(field, ordinals[r, t])]."""
-    n = len(ordinals)
-    return table_csr((n, grid.N), [(np.arange(n), 2 * ordinals + field, weights * scale)])
-
-
-def dx_central_row(grid: Grid, field: int, i, j) -> sps.csr_matrix:
-    """First x-derivative, centred: (-1, +1) / (2 dx) at (i-1, i+1)."""
-    return _rows(grid, field, x_table(grid, i, j), DX, 1.0 / (2.0 * grid.dx))
-
-
-def dxx_row(grid: Grid, field: int, i, j) -> sps.csr_matrix:
-    """Second x-derivative, centred: (1, -2, 1) / dx^2; periodic wrap on band rows."""
-    return _rows(grid, field, x_table(grid, i, j), DXX, 1.0 / grid.dx**2)
-
-
-def dyy_row(grid: Grid, field: int, i, j) -> sps.csr_matrix:
-    """Second y-derivative with the mirror closure on the field-line walls."""
-    ordinals, d2, _ = y_table(grid, i, j)
-    return _rows(grid, field, ordinals, d2, 1.0 / grid.dy**2)
-
-
-def dyyyy_row(grid: Grid, field: int, i, j) -> sps.csr_matrix:
-    """Fourth y-derivative with the two-ghost mirror closure on the walls."""
-    ordinals, _, d4 = y_table(grid, i, j)
-    return _rows(grid, field, ordinals, d4, 1.0 / grid.dy**4)

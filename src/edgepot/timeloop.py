@@ -91,7 +91,7 @@ def n_steps(t_end: float, dt: float) -> int:
     """ceil(T/dt), warning when T/dt is not an integer within rounding."""
     ratio = t_end / dt
     n = round(ratio)
-    if abs(ratio - n) <= 1e-9 * max(1.0, abs(ratio)):
+    if abs(ratio - n) <= 1e-9 * ratio:  # relative: a small ratio is not snapped to 0 steps
         return n
     warnings.warn(
         f"NonIntegralStepCount: T/dt = {ratio}; running ceil = {math.ceil(ratio)} steps",

@@ -285,7 +285,6 @@ def run_condition_study(
 # ---- linear stability ----------------------------------------------
 
 _AMPLIFICATION_TOL = 1e-10
-_AMPLIFICATION_MAX_ITER = 10_000
 
 
 @dataclass(frozen=True)
@@ -305,8 +304,8 @@ def amplification_factor(system: System, factors: LUFactors) -> AmplificationEst
     `lu_solve` and one product with P.  The estimate is the modulus of the
     dominant eigenvalue when that is real and simple; it converges at the
     ratio of the two largest moduli, and stops once it changes by at most
-    1e-10 of itself.  Deterministic; if 10^4 iterations do not converge the
-    value is returned with ``converged=False``.
+    1e-10 of itself.  Deterministic; if ``linsolve.POWER_MAX_ITER`` (10^4)
+    iterations do not converge the value is returned with ``converged=False``.
     """
     rng = np.random.default_rng(POWER_SEED)
     rho, k, ok = power_iteration(
@@ -314,7 +313,6 @@ def amplification_factor(system: System, factors: LUFactors) -> AmplificationEst
         system.matrix.shape[0],
         rng,
         _AMPLIFICATION_TOL,
-        _AMPLIFICATION_MAX_ITER,
     )
     return AmplificationEstimate(value=float(rho), converged=ok, iterations=k)
 

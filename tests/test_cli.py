@@ -6,7 +6,6 @@ from edgepot.cli import (
     dump_field,
     main,
     parse_config,
-    read_field_dump,
     spec_echo,
     write_csv,
 )
@@ -126,10 +125,14 @@ def test_dump_field_round_trip(tmp_path):
     state.u[:] = rng.standard_normal(grid.N)
     path = tmp_path / "fields.txt"
     dump_field(grid, state, path, header="test dump")
-    x, y, phi, q = read_field_dump(path)
-    assert len(x) == len(grid.plasma_ordinals)
-    assert np.array_equal(phi, state.phi[grid.plasma_ordinals])
-    assert np.array_equal(q, state.q[grid.plasma_ordinals])
+    x, y, phi, q = np.loadtxt(path, ndmin=2).T
+    plasma = grid.plasma_ordinals
+    node_x, node_y = grid.node_coords()
+    assert len(x) == len(plasma)
+    assert np.array_equal(x, node_x[plasma])
+    assert np.array_equal(y, node_y[plasma])
+    assert np.array_equal(phi, state.phi[plasma])
+    assert np.array_equal(q, state.q[plasma])
 
 
 def test_dump_field_naive_omits_q(tmp_path):
@@ -139,8 +142,7 @@ def test_dump_field_naive_omits_q(tmp_path):
     state = init_state(grid, phys, lambda x, y: np.ones_like(x), scheme="naive")
     path = tmp_path / "fields.txt"
     dump_field(grid, state, path)
-    *_, q = read_field_dump(path)
-    assert q is None
+    assert np.loadtxt(path, ndmin=2).shape == (len(grid.plasma_ordinals), 3)  # x y phi
 
 
 # ---- CSV ------------------------------------------------------------------------
@@ -270,6 +272,29 @@ def test_main_study_refuses_an_outdir_file_before_the_study_runs(
     assert blocker.read_text() == ""  # left as it was
 
 
+@pytest.mark.parametrize(
+    "command,flag,driver",
+    [
+        ("mms-convergence", "--grids", "run_mms_convergence"),
+        ("eta-sweep", "--etas", "run_eta_sweep"),
+        ("condition-study", "--etas", "run_condition_study"),
+    ],
+)
+def test_main_study_rejects_a_non_numeric_sweep_entry(
+    tmp_path, capsys, monkeypatch, command, flag, driver
+):
+    def never(*args, **kwargs):
+        raise AssertionError(f"{driver} ran with a malformed {flag}")
+
+    monkeypatch.setattr(verification, driver, never)
+    outdir = tmp_path / "out"
+    assert main([command, flag, "1e-2,abc", "--outdir", str(outdir)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and err.count("\n") == 1
+    assert "'abc'" in err and flag in err
+    assert not outdir.exists()
+
+
 def test_main_run_zero_source(capsys, tmp_path):
     dump = tmp_path / "f.txt"
     code = main([
@@ -277,7 +302,7 @@ def test_main_run_zero_source(capsys, tmp_path):
         "--T", "0.01", "--dump-fields", str(dump),
     ])
     assert code == 0
-    x, y, phi, q = read_field_dump(dump)
+    phi = np.loadtxt(dump, ndmin=2)[:, 2]
     assert phi == pytest.approx(1.5, abs=1e-9)
     out = capsys.readouterr().out
     assert "steps=10" in out

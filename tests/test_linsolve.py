@@ -200,18 +200,13 @@ def test_cond_deterministic():
     assert estimate_cond2(a, f).value == estimate_cond2(a, f).value
 
 
-def test_cond_stagnation_flag():
+def test_cond_stagnation_flag(monkeypatch):
+    monkeypatch.setattr(linsolve, "POWER_MAX_ITER", 2)
     a, _ = svd_designed(60, 3.0, seed=19)
-    est = estimate_cond2(a, lu_factorize(a), max_iter=2)
+    est = estimate_cond2(a, lu_factorize(a))
     assert not est.converged
+    assert (est.iterations_sigma_max, est.iterations_sigma_min) == (2, 2)
     assert est.value > 0
-
-
-@pytest.mark.parametrize("max_iter", [0, -1])
-def test_cond_rejects_max_iter_below_one(max_iter):
-    a = csr(np.eye(4))
-    with pytest.raises(ValueError, match="max_iter"):
-        estimate_cond2(a, lu_factorize(a), max_iter=max_iter)
 
 
 def test_equilibrated_cond_of_scaled_identity():
@@ -268,7 +263,7 @@ def test_power_iteration_stops_at_a_non_finite_norm(bad):
 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        lam, k, ok = power_iteration(op, 10, np.random.default_rng(0), 1e-4, 10_000)
+        lam, k, ok = power_iteration(op, 10, np.random.default_rng(0), 1e-4)
     assert (k, ok, len(calls)) == (1, False, 1)
     assert not np.isfinite(lam)
 

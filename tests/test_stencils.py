@@ -4,7 +4,7 @@ import scipy.sparse as sps
 
 from edgepot.errors import MissingNeighborError
 from edgepot.geometry import PHI, Q, DiscConfig, PhysConfig, build_grid
-from edgepot.stencils import dx_central_row, dxx_row, dyy_row, dyyyy_row
+from edgepot.stencils import DX, DXX, table_csr, x_table, y_table
 
 
 def strip_grid(dx=0.1, dy=0.1):
@@ -20,9 +20,22 @@ def full_grid(dx=0.05, dy=0.05, l=0.5):
     )
 
 
-def coeffs(grid, row):
-    """Map slot -> coefficient for readable assertions."""
-    return {grid.locate(k): c for k, c in zip(row.indices, row.data)}
+def nodes(grid, ordinals, weights):
+    """Map node (i, j) -> weight of one table row; a repeated node's weights summed, zeros dropped."""
+    out = {}
+    for k, w in zip(ordinals, weights):
+        node = tuple(int(v) for v in grid.phi_nodes[k])
+        out[node] = out.get(node, 0.0) + w
+    return {node: w for node, w in out.items() if w != 0.0}
+
+
+def x_row(grid, i, j):
+    return x_table(grid, i, j)[0]
+
+
+def y_row(grid, i, j):
+    """(ordinals, d2, d4) of the single node (i, j)."""
+    return tuple(part[0] for part in y_table(grid, i, j))
 
 
 # ---- first and second x-differences ------------------------------------
@@ -30,30 +43,26 @@ def coeffs(grid, row):
 
 def test_dx_central_interior_coefficients():
     grid = strip_grid(dx=0.1)
-    row = coeffs(grid, dx_central_row(grid, PHI, 3, 2))
-    assert row == {
-        (PHI, 2, 2): pytest.approx(-5.0),
-        (PHI, 4, 2): pytest.approx(5.0),
-    }
+    assert nodes(grid, x_row(grid, 3, 2), DX) == {(2, 2): -1.0, (4, 2): 1.0}
 
 
 def test_dx_central_at_face_references_ghost():
     grid = strip_grid()
-    row = coeffs(grid, dx_central_row(grid, Q, grid.I1, 4))
-    assert (Q, grid.I1 - 1, 4) in row  # the stored ghost column
-    assert (Q, grid.I1 + 1, 4) in row
+    row = nodes(grid, x_row(grid, grid.I1, 4), DX)
+    assert (grid.I1 - 1, 4) in row  # the stored ghost column
+    assert (grid.I1 + 1, 4) in row
 
 
 def test_dx_central_annihilates_x_constants():
     grid = strip_grid()
-    u = np.ones(grid.N)
-    assert dx_central_row(grid, PHI, 2, 3) @ u == 0.0
+    _, y = grid.node_coords()
+    assert DX @ y[x_row(grid, 2, 3)] == 0.0
 
 
 def test_dx_missing_neighbor_on_ghost():
     grid = strip_grid()
     with pytest.raises(MissingNeighborError):
-        dx_central_row(grid, PHI, grid.I1 - 1, 0)
+        x_table(grid, grid.I1 - 1, 0)
 
 
 def test_dxx_coefficients():
@@ -61,20 +70,13 @@ def test_dxx_coefficients():
         PhysConfig(eta=1e-3, L=0.25),
         DiscConfig(dx=0.5, dy=0.1, dt=1e-3, mode="strip"),
     )
-    row = coeffs(grid, dxx_row(grid, PHI, 0, 2))
-    assert row[(PHI, -1, 2)] == pytest.approx(4.0)
-    assert row[(PHI, 0, 2)] == pytest.approx(-8.0)
-    assert row[(PHI, 1, 2)] == pytest.approx(4.0)
+    assert nodes(grid, x_row(grid, 0, 2), DXX) == {(-1, 2): 1.0, (0, 2): -2.0, (1, 2): 1.0}
 
 
 def test_dxx_exact_on_quadratics():
     grid = strip_grid(dx=0.05)
-    u = np.zeros(grid.N)
-    for k in range(grid.N):
-        f, i, j = grid.locate(k)
-        if f == PHI:
-            u[k] = grid.x(i) ** 2
-    assert dxx_row(grid, PHI, 5, 3) @ u == pytest.approx(2.0, abs=1e-10)
+    x, _ = grid.node_coords()
+    assert DXX @ x[x_row(grid, 5, 3)] ** 2 / grid.dx**2 == pytest.approx(2.0, abs=1e-10)
 
 
 def test_dxx_periodic_wrap_converges_on_band():
@@ -82,13 +84,11 @@ def test_dxx_periodic_wrap_converges_on_band():
     errs = []
     for dx in (0.05, 0.025):
         grid = full_grid(dx=dx)
-        j = grid.Ny - 2
-        u = np.zeros(grid.N)
-        for i in range(grid.n_band_cols):
-            u[grid.slot(PHI, i, j)] = np.cos(2 * np.pi * grid.x(i))
-        row = dxx_row(grid, PHI, 0, j)  # the seam column wraps
+        x, _ = grid.node_coords()
+        u = np.cos(2 * np.pi * x)
+        row = x_row(grid, 0, grid.Ny - 2)  # the seam column wraps
         exact = -4 * np.pi**2 * np.cos(2 * np.pi * grid.x(0))
-        errs.append(abs(row @ u - exact))
+        errs.append(abs(DXX @ u[row] / grid.dx**2 - exact))
     assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.15)
 
 
@@ -102,10 +102,35 @@ def _stencil_nodes(grid):
     return i, j
 
 
+def _x_operator(weights):
+    def rows(grid, i, j):
+        ordinals = x_table(grid, i, j)
+        return ordinals, np.broadcast_to(weights, ordinals.shape)
+
+    return rows
+
+
+def _y_operator(part):
+    def rows(grid, i, j):
+        ordinals, *weights = y_table(grid, i, j)
+        return ordinals, weights[part]
+
+    return rows
+
+
+# The four difference operators as (ordinals, unscaled weights) rows of the two tables.
+OPERATORS = {
+    "dx_central_row": _x_operator(DX),
+    "dxx_row": _x_operator(DXX),
+    "dyy_row": _y_operator(0),
+    "dyyyy_row": _y_operator(1),
+}
+
+
 @pytest.mark.parametrize("grid_kind", ["strip", "full", "full_I1_is_1"])
 @pytest.mark.parametrize("field", [PHI, Q])
-@pytest.mark.parametrize("fn", [dx_central_row, dxx_row, dyy_row, dyyyy_row])
-def test_array_call_matches_single_node_calls(grid_kind, field, fn):
+@pytest.mark.parametrize("operator", OPERATORS)
+def test_array_call_matches_single_node_calls(grid_kind, field, operator):
     grid = {
         "strip": strip_grid,
         "full": full_grid,
@@ -116,9 +141,21 @@ def test_array_call_matches_single_node_calls(grid_kind, field, fn):
         # band rows, seam column 0 and its twin, a column above the limiter only
         assert (j >= grid.j_l).any() and (i == 0).any() and (i == grid.n_band_cols).any()
         assert (i == grid.I1 - 1).any()
-    stacked = sps.vstack([fn(grid, field, a, b) for a, b in zip(i, j)]).tocsr()
-    together = fn(grid, field, i, j)
-    assert together.shape == (len(i), grid.N)
+
+    def rows(*node):
+        """The table rows of the nodes and their CSR form on the field's slots."""
+        ordinals, weights = OPERATORS[operator](grid, *node)
+        n = len(ordinals)
+        slots = grid.slot(field, *np.moveaxis(grid.phi_nodes[ordinals], -1, 0))
+        return ordinals, weights, table_csr((n, grid.N), [(np.arange(n), slots, weights)])
+
+    singles = [rows(a, b) for a, b in zip(i, j)]
+    ordinals, weights, together = rows(i, j)
+    assert ordinals.shape[0] == weights.shape[0] == together.shape[0] == len(i)
+    assert np.array_equal(ordinals, np.concatenate([s[0] for s in singles]))
+    assert np.array_equal(weights, np.concatenate([s[1] for s in singles]))
+    stacked = sps.vstack([s[2] for s in singles]).tocsr()
+    assert together.shape == stacked.shape == (len(i), grid.N)
     assert np.array_equal(together.toarray(), stacked.toarray())
 
 
@@ -127,46 +164,34 @@ def test_array_call_matches_single_node_calls(grid_kind, field, fn):
 
 def test_dyy_interior_and_wall_coefficients():
     grid = strip_grid(dy=0.25)
-    c = 1.0 / 0.25**2
-    interior = coeffs(grid, dyy_row(grid, PHI, 2, 2))
-    assert interior == {
-        (PHI, 2, 1): pytest.approx(c),
-        (PHI, 2, 2): pytest.approx(-2 * c),
-        (PHI, 2, 3): pytest.approx(c),
-    }
-    bottom = coeffs(grid, dyy_row(grid, PHI, 2, 0))
-    assert bottom == {
-        (PHI, 2, 0): pytest.approx(-2 * c),
-        (PHI, 2, 1): pytest.approx(2 * c),
-    }
-    top = coeffs(grid, dyy_row(grid, PHI, 2, grid.Ny - 1))
-    assert top[(PHI, 2, grid.Ny - 2)] == pytest.approx(2 * c)
+    ordinals, d2, _ = y_row(grid, 2, 2)
+    assert nodes(grid, ordinals, d2) == {(2, 1): 1.0, (2, 2): -2.0, (2, 3): 1.0}
+    ordinals, d2, _ = y_row(grid, 2, 0)
+    assert nodes(grid, ordinals, d2) == {(2, 0): -2.0, (2, 1): 2.0}
+    ordinals, d2, _ = y_row(grid, 2, grid.Ny - 1)
+    assert nodes(grid, ordinals, d2)[(2, grid.Ny - 2)] == 2.0
 
 
 def test_dyy_annihilates_constants():
     grid = strip_grid()
-    u = np.ones(grid.N)
+    u = np.ones(len(grid.phi_nodes))
     for j in (0, 1, 5, grid.Ny - 1):
-        assert dyy_row(grid, PHI, 3, j) @ u == 0.0
+        ordinals, d2, _ = y_row(grid, 3, j)
+        assert d2 @ u[ordinals] == 0.0
 
 
 def test_dyyyy_coefficients():
     grid = strip_grid(dy=0.25)
-    c = 1.0 / 0.25**4
-    interior = coeffs(grid, dyyyy_row(grid, PHI, 2, 2))
-    assert [interior[(PHI, 2, j)] for j in range(5)] == pytest.approx(
-        [c, -4 * c, 6 * c, -4 * c, c]
-    )
-    wall = coeffs(grid, dyyyy_row(grid, PHI, 2, 0))
-    assert [wall[(PHI, 2, j)] for j in range(3)] == pytest.approx([6 * c, -8 * c, 2 * c])
-    near = coeffs(grid, dyyyy_row(grid, PHI, 2, 1))
-    assert [near[(PHI, 2, j)] for j in range(4)] == pytest.approx(
-        [-4 * c, 7 * c, -4 * c, c]
-    )
-    top = coeffs(grid, dyyyy_row(grid, PHI, 2, 4))
-    assert [top[(PHI, 2, j)] for j in (2, 3, 4)] == pytest.approx(
-        [2 * c, -8 * c, 6 * c]
-    )
+
+    def d4_at(j):
+        ordinals, _, d4 = y_row(grid, 2, j)
+        row = nodes(grid, ordinals, d4)
+        return [row.get((2, jj), 0.0) for jj in range(grid.Ny)]
+
+    assert d4_at(2) == [1.0, -4.0, 6.0, -4.0, 1.0]
+    assert d4_at(0) == [6.0, -8.0, 2.0, 0.0, 0.0]
+    assert d4_at(1) == [-4.0, 7.0, -4.0, 1.0, 0.0]
+    assert d4_at(4) == [0.0, 0.0, 2.0, -8.0, 6.0]
 
 
 def test_dyyyy_matches_explicit_ghost_elimination():
@@ -191,11 +216,10 @@ def test_dyyyy_matches_explicit_ghost_elimination():
     assert fold(1) == {0: -4.0, 1: 7.0, 2: -4.0, 3: 1.0}
 
     grid = strip_grid(dy=0.25)
-    c = 1.0 / grid.dy**4
     for j0 in (0, 1):
-        row = coeffs(grid, dyyyy_row(grid, PHI, 2, j0))
-        got = {j: v / c for (f, i, j), v in row.items()}
-        assert got == pytest.approx(fold(j0))
+        ordinals, _, d4 = y_row(grid, 2, j0)
+        got = {j: v for (i, j), v in nodes(grid, ordinals, d4).items()}
+        assert got == fold(j0)
 
 
 def test_dyyyy_against_cosine_derivative():
@@ -203,12 +227,11 @@ def test_dyyyy_against_cosine_derivative():
     errs = []
     for dy in (0.05, 0.025):
         grid = strip_grid(dy=dy)
+        _, y = grid.node_coords()
         j = round(0.3 / dy)  # away from the zero of cos(pi y)
-        u = np.zeros(grid.N)
-        for jj in range(grid.Ny):
-            u[grid.slot(PHI, 3, jj)] = np.cos(np.pi * grid.y(jj))
+        ordinals, _, d4 = y_row(grid, 3, j)
         exact = np.pi**4 * np.cos(np.pi * grid.y(j))
-        errs.append(abs(dyyyy_row(grid, PHI, 3, j) @ u - exact))
+        errs.append(abs(d4 @ np.cos(np.pi * y[ordinals]) / grid.dy**4 - exact))
     assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.2)
 
 
@@ -218,32 +241,15 @@ def test_wall_rows_second_order_on_even_fields(k):
     errs = []
     for dy in (0.05, 0.025):
         grid = strip_grid(dy=dy)
-        u = np.zeros(grid.N)
-        for jj in range(grid.Ny):
-            u[grid.slot(PHI, 3, jj)] = np.cos(k * np.pi * grid.y(jj))
+        _, y = grid.node_coords()
+        u = np.cos(k * np.pi * y)
         worst = 0.0
         for j in (0, 1, grid.Ny - 2, grid.Ny - 1):
+            ordinals, _, d4 = y_row(grid, 3, j)
             exact = (k * np.pi) ** 4 * np.cos(k * np.pi * grid.y(j))
-            worst = max(worst, abs(dyyyy_row(grid, PHI, 3, j) @ u - exact))
+            worst = max(worst, abs(d4 @ u[ordinals] / grid.dy**4 - exact))
         errs.append(worst)
     assert errs[0] / errs[1] > 3.0  # order ~2 between the two refinements
-
-
-def test_rows_are_linear():
-    grid = strip_grid()
-    rng = np.random.default_rng(42)
-    f = rng.standard_normal(grid.N)
-    g = rng.standard_normal(grid.N)
-    a, b = 0.7, -1.3
-    for row in (
-        dx_central_row(grid, PHI, 4, 2),
-        dxx_row(grid, Q, 4, 2),
-        dyy_row(grid, PHI, 4, 0),
-        dyyyy_row(grid, PHI, 4, 1),
-    ):
-        assert row @ (a * f + b * g) == pytest.approx(
-            a * (row @ f) + b * (row @ g), rel=1e-12, abs=1e-12
-        )
 
 
 def test_band_columns_reflect_at_limiter_top():
@@ -251,8 +257,5 @@ def test_band_columns_reflect_at_limiter_top():
     i = grid.I1 - 1  # column above the limiter only
     jb, jt = grid.column_extent(i)
     assert jb == grid.j_l
-    row = coeffs(grid, dyyyy_row(grid, PHI, i, jb))
-    c = 1.0 / grid.dy**4
-    assert row[(PHI, i, jb)] == pytest.approx(6 * c)
-    assert row[(PHI, i, jb + 1)] == pytest.approx(-8 * c)
-    assert row[(PHI, i, jb + 2)] == pytest.approx(2 * c)
+    ordinals, _, d4 = y_row(grid, i, jb)
+    assert nodes(grid, ordinals, d4) == {(i, jb): 6.0, (i, jb + 1): -8.0, (i, jb + 2): 2.0}

@@ -142,6 +142,8 @@ def test_n_steps_warns_when_not_integral():
     assert n_steps(1.0, 1e-3) == 1000
     with pytest.warns(UserWarning, match="NonIntegralStepCount"):
         assert n_steps(0.0105, 1e-3) == 11
+    with pytest.warns(UserWarning, match="NonIntegralStepCount"):
+        assert n_steps(1e-13, 1e-3) == 1  # 0 < T/dt <= 1e-9 still runs one step
 
 
 def test_run_factorizes_exactly_once(monkeypatch):

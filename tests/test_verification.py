@@ -8,7 +8,8 @@ from edgepot.assembly import Forcing, build_system
 from edgepot.errors import ConfigError
 from edgepot.geometry import DiscConfig, PhysConfig, build_grid
 from edgepot.linsolve import lu_factorize, ruiz_scalings
-from edgepot.manufactured import eq4_source, mms_source
+from edgepot.manufactured import SOURCES, eq4_source, mms_source
+from edgepot.timeloop import run
 from edgepot.verification import (
     TimeNormObserver,
     amplification_factor,
@@ -155,6 +156,24 @@ def test_mms_convergence_coupled_error_is_uniform_in_eta():
         assert max(errs) <= 1.05 * min(errs), errs
 
 
+@pytest.mark.parametrize("eta", [1e-3, 0.0])
+def test_coupled_space_order_of_time_extrapolated_solutions(eta):
+    # Richardson in time, 2 phi(dt/2) - phi(dt), removes Euler's O(dt) error, so
+    # the fitted order is the space order the time error hides in the study
+    phys = PhysConfig(eta=eta, t_end=0.05)
+    ms = SOURCES["eq3_mms"](phys)
+    hs, errs = [0.05, 0.025, 0.0125], []
+    for h in hs:
+        phi = []
+        for dt in (2.5e-4, 1.25e-4):
+            disc = DiscConfig(dx=h, dy=h, dt=dt)
+            grid = build_grid(phys, disc)
+            phi.append(run(build_system(grid, phys, disc, "ap"), ms.forcing, ms.phi_ini).phi)
+        x, y = grid.node_coords()
+        errs.append(l2_norm(grid, 2 * phi[1] - phi[0] - ms.phi(phys.t_end, x, y)))
+    assert 1.9 <= fit_loglog_slope(hs, errs) <= 2.1, errs
+
+
 @pytest.mark.parametrize("deltas", [[0.1], [0.05, 0.05]], ids=["one", "repeated"])
 def test_mms_convergence_refuses_fewer_than_two_mesh_steps(deltas):
     # a slope through one point is undefined; refused before any grid runs
@@ -177,8 +196,6 @@ def test_eta_sweep_exact_zero_limit():
     disc = DiscConfig(dx=0.05, dy=0.05, dt=1e-2, mode="strip")
     grid = build_grid(phys, disc)
     obs = TimeNormObserver(grid)
-    from edgepot.timeloop import run
-
     run(
         build_system(grid, phys, disc, "ap"),
         Forcing(volume=lambda t, x, y: eq4_source(t, x, y, 0.4)),
