@@ -57,8 +57,7 @@ from typing import Callable, Optional
 import numpy as np
 import scipy.sparse as sps
 
-from .errors import EtaZeroUndefinedError, NonFiniteSourceError, NumericalError
-from .errors import SingularStructureError
+from .errors import EdgepotError, NumericalError
 from .geometry import PHI, Q, DiscConfig, Grid, PhysConfig
 from .stencils import DX, DXX, table_csr, x_table, y_table
 
@@ -101,16 +100,16 @@ def check_csr(matrix: sps.csr_matrix) -> None:
     """Assert the CSR invariants: square, no empty row/column, sorted unique columns per row."""
     n, m = matrix.shape
     if n != m:
-        raise SingularStructureError(f"matrix is {n}x{m}, not square")
+        raise EdgepotError(f"matrix is {n}x{m}, not square")
     row_counts = np.diff(matrix.indptr)
     if (row_counts == 0).any():
-        raise SingularStructureError(f"empty row {int(np.argmin(row_counts))}")
+        raise EdgepotError(f"empty row {int(np.argmin(row_counts))}")
     col_seen = np.zeros(m, dtype=bool)
     col_seen[matrix.indices] = True
     if not col_seen.all():
-        raise SingularStructureError(f"empty column {int(np.argmin(col_seen))}")
+        raise EdgepotError(f"empty column {int(np.argmin(col_seen))}")
     if not matrix.has_canonical_format:
-        raise SingularStructureError("column indices not sorted, or repeated, within rows")
+        raise EdgepotError("column indices not sorted, or repeated, within rows")
 
 
 @dataclass
@@ -146,7 +145,7 @@ def build_system(grid: Grid, phys: PhysConfig, disc: DiscConfig, scheme: str) ->
     eta, nu, dt = phys.eta, phys.nu, disc.dt
     ap = scheme == "ap"
     if not ap and eta == 0:
-        raise EtaZeroUndefinedError(
+        raise NumericalError(
             "EtaZeroUndefined: the single-field scheme divides by eta; "
             "use the coupled scheme at eta = 0"
         )
@@ -253,7 +252,7 @@ def assemble_ap_rhs(system: System, state, forcing: Forcing) -> np.ndarray:
         sheath = system.phys.eta * sheath
     b[system.sheath_rows] = sheath
     if not np.isfinite(b).all():
-        raise NonFiniteSourceError(
+        raise NumericalError(
             f"right-hand side not finite at t = {t_next} "
             f"(first bad row {int(np.flatnonzero(~np.isfinite(b))[0])})"
         )

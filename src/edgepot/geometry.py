@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, MissingNeighborError, OutOfDomainError
+from .errors import ConfigError, EdgepotError
 
 PHI = 0
 Q = 1
@@ -63,7 +63,11 @@ def _is_integer(v: float) -> bool:
 
 def config_violations(phys: PhysConfig, disc: DiscConfig) -> list[str]:
     """Collect all invariant violations; empty list means valid."""
-    out = []
+    numbers = {"eta": phys.eta, "nu": phys.nu, "lambda": phys.lambda_ref, "L": phys.L,
+               "l": phys.limiter_height, "T": phys.t_end, "dx": disc.dx, "dy": disc.dy,
+               "dt": disc.dt}
+    out = [f"NonFinite: {key} must be finite, got {v}"
+           for key, v in numbers.items() if not np.isfinite(v)]
     if not phys.eta >= 0:
         out.append(f"InvalidPhysConfig: eta must be >= 0, got {phys.eta}")
     if not phys.nu > 0:
@@ -196,24 +200,6 @@ class Grid:
         spans = (self.mode == "strip") | ((self.I1 <= i) & (i <= self.I2))
         return np.where(spans, 0, self.j_l)[()], self.Ny - 1
 
-    def canonical_col(self, i, j):
-        """Fold the periodic seam twin onto its stored column."""
-        if self.mode == "full":
-            return np.where(np.asarray(j) >= self.j_l, np.mod(i, self.n_band_cols), i)[()]
-        return i
-
-    def x_neighbors(self, i, j):
-        """Stored columns left/right of (i, j); periodic wrap on band rows."""
-        i, j = np.broadcast_arrays(i, j)
-        band = (self.mode == "full") & (j >= self.j_l)
-        bad = ~band & ((i <= self.I1 - 1) | (i >= self.I2 + 1))
-        if bad.any():
-            k = np.argmax(bad)
-            raise MissingNeighborError(
-                f"node (i={i.flat[k]}, j={j.flat[k]}) has no stored neighbor on both sides"
-            )
-        return self.canonical_col(i - 1, j), self.canonical_col(i + 1, j)
-
     # ---- index layout ------------------------------------------------
 
     def _build_index(self):
@@ -239,13 +225,16 @@ class Grid:
         self._quad_weights = self._compute_quad_weights(plasma[:, 1:])
 
     def ordinal(self, i, j):
-        """Position of node (i, j) in the phi enumeration (ghosts included)."""
-        i, j = np.broadcast_arrays(self.canonical_col(i, j) + 1, j)
+        """Position of node (i, j) in the phi enumeration (ghosts included); on band rows
+        the periodic seam twin folds onto its stored column."""
+        if self.mode == "full":
+            i = np.where(np.asarray(j) >= self.j_l, np.mod(i, self.n_band_cols), i)
+        i, j = np.broadcast_arrays(i + 1, j)
         inside = (0 <= j) & (j < self.Ny) & (0 <= i) & (i < self._table.shape[1])
         k = np.where(inside, self._table[j * inside, i * inside], -1)  # 0 * index is in range
         if (k < 0).any():
             bad = np.argmax(k < 0)
-            raise OutOfDomainError(f"(i={i.flat[bad] - 1}, j={j.flat[bad]}) is not a stored node")
+            raise EdgepotError(f"(i={i.flat[bad] - 1}, j={j.flat[bad]}) is not a stored node")
         return k[()]
 
     def slot(self, field: int, i, j):

@@ -136,7 +136,7 @@ import scipy.linalg
 import scipy.sparse as sps
 import scipy.sparse.linalg as spla
 
-from .errors import DimensionMismatchError, SingularPivotError
+from .errors import EdgepotError, SingularPivotError
 from .geometry import ColumnBlocks
 from .stencils import mirror_dyy
 
@@ -526,7 +526,7 @@ def lu_factorize(matrix: sps.spmatrix) -> LUFactors:
     """
     n, m = matrix.shape
     if n != m:
-        raise DimensionMismatchError(f"matrix is {n}x{m}, not square")
+        raise EdgepotError(f"matrix is {n}x{m}, not square")
     if _malloc_trim is not None:
         _malloc_trim(0)
     a = matrix.tocsr()
@@ -553,7 +553,7 @@ def lu_solve(factors: LUFactors, rhs: np.ndarray, trans: str = "N") -> np.ndarra
         raise ValueError(f"trans must be 'N' or 'T', got {trans!r}")
     rhs = np.asarray(rhs, dtype=np.float64)
     if rhs.shape != (factors.n,):
-        raise DimensionMismatchError(
+        raise EdgepotError(
             f"rhs has shape {rhs.shape}, expected ({factors.n},)"
         )
     iface = factors.interface

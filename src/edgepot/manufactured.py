@@ -37,7 +37,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .assembly import Forcing, sheath_law
-from .errors import LogDomainError
+from .errors import EdgepotError
 from .geometry import PhysConfig
 
 _KX = 1.25 * np.pi  # x wavenumber of the literal and smooth solutions (pi/(2L) at L = 0.4)
@@ -51,15 +51,23 @@ def _wavenumbers(L: float) -> tuple[float, float]:
 
 
 def _log_arg_corrected(t, y, c):
-    return 1.0 - c * t * t * np.cos(np.pi * y)
+    return _positive(1.0 - c * t * t * np.cos(np.pi * y), t, y)
+
+
+def _positive(arg, t, y):
+    """``arg``, a log argument over (t, y); EdgepotError names the first (t, y) where it is <= 0."""
+    bad = arg <= 0
+    if np.any(bad):
+        k = np.argmax(bad)
+        t0, y0 = (float(np.broadcast_to(v, bad.shape).flat[k]) for v in (t, y))
+        raise EdgepotError(f"log argument non-positive at t = {t0}, y = {y0}")
+    return arg
 
 
 def mms_phi(t, x, y, eta: float, lambda_ref: float, L: float = 0.4):
     """Reference manufactured solution (boundary-consistent form)."""
     k, c = _wavenumbers(L)
     arg = _log_arg_corrected(t, y, c)
-    if np.any(arg <= 0):
-        raise LogDomainError(f"log argument non-positive at t = {t}")
     w = np.cos(np.pi * y)
     return eta * (t / np.pi) ** 2 * w * np.cos(k * x) - np.log(arg) + lambda_ref
 
@@ -84,8 +92,6 @@ def mms_source(t, x, y, eta: float, nu: float, *, L: float = 0.4):
     """
     k, c = _wavenumbers(L)
     arg = _log_arg_corrected(t, y, c)
-    if np.any(arg <= 0):
-        raise LogDomainError(f"log argument non-positive at t = {t}")
     w = np.cos(np.pi * y)
     a = c * t * t
     u = arg
@@ -119,10 +125,8 @@ def mms_phi_literal(t, x, y, eta: float, lambda_ref: float):
     """
     w = np.cos(np.pi * y)
     if np.any(w == 0):
-        raise LogDomainError("cos(pi y) = 0: literal variant undefined at y = 0.5")
-    arg = 1.0 - 1.25 * t * t / (np.pi * w)
-    if np.any(arg <= 0):
-        raise LogDomainError(f"log argument non-positive at t = {t}")
+        raise EdgepotError("cos(pi y) = 0: literal variant undefined at y = 0.5")
+    arg = _positive(1.0 - 1.25 * t * t / (np.pi * w), t, y)
     return eta * (t / np.pi) ** 2 * w * np.cos(_KX * x) - np.log(arg) + lambda_ref
 
 

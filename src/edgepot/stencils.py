@@ -66,8 +66,7 @@ def _nodes(i, j):
 def x_table(grid: Grid, i, j) -> np.ndarray:
     """(n, 3) ordinals of each node's left, centre and right nodes; periodic wrap on band rows."""
     i, j = _nodes(i, j)
-    left, right = grid.x_neighbors(i, j)
-    return grid.ordinal(np.stack([left, i, right], axis=-1), j[:, None])
+    return grid.ordinal(i[:, None] + np.arange(-1, 2), j[:, None])
 
 
 def y_table(grid: Grid, i, j) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

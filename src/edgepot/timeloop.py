@@ -10,7 +10,7 @@ from typing import Callable, Iterable, Optional
 import numpy as np
 
 from .assembly import Forcing, System, ZERO_FORCING, assemble_ap_rhs
-from .errors import NonFiniteInitialError
+from .errors import NumericalError
 from .geometry import Grid, PhysConfig
 from .linsolve import LUFactors, lu_factorize, lu_solve
 
@@ -51,7 +51,7 @@ def init_state(
         phi0 = np.broadcast_to(phi0, x.shape).astype(np.float64)
     if not np.isfinite(phi0).all():
         bad = int(np.flatnonzero(~np.isfinite(phi0))[0])
-        raise NonFiniteInitialError(
+        raise NumericalError(
             f"phi_ini not finite at node (x={x[bad]}, y={y[bad]})"
         )
     _warn_if_x_dependent(grid, phi0)

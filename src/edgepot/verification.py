@@ -156,12 +156,16 @@ def _require_sweep(
 ) -> None:
     """Refuse a sweep the study cannot run or fit, before any grid is built.
 
-    A fitted study draws a line through the logs of the swept values, so it
-    needs 2 distinct values, all > 0; the condition study needs 1.
+    Each value must be finite.  A fitted study draws a line through the logs
+    of the swept values, so it needs 2 distinct values, all > 0; the
+    condition study needs 1.
     """
     need, distinct = (2 if fitted else 1), len(set(values))
     if distinct < need:
         raise ConfigError([f"{tag}: {study} needs at least {need} distinct {what}, got {distinct}"])
+    bad = [v for v in values if not np.isfinite(v)]
+    if bad:
+        raise ConfigError([f"{tag}: {study} needs finite {what}, got {bad[0]!r}"])
     bad = [v for v in values if not v > 0]
     if fitted and bad:
         raise ConfigError([f"{tag}: {study} fits a line through the logs of the {what}, "
@@ -182,7 +186,7 @@ def run_mms_convergence(
     without a source term is refused with a ConfigError, and so are a mode
     other than 'strip', fewer than two distinct mesh steps and a step that
     is not > 0, through which no order can be fitted.  The single-field
-    ``scheme`` is refused at eta = 0 with EtaZeroUndefinedError.
+    ``scheme`` is refused at eta = 0 with a NumericalError.
     """
     _require_strip(disc, "mms-convergence")
     _require_sweep("mms-convergence", "InvalidGrids", "mesh steps", deltas)

@@ -15,12 +15,7 @@ from edgepot.assembly import (
     micro_macro_deviation,
     write_matrix_market,
 )
-from edgepot.errors import (
-    EtaZeroUndefinedError,
-    NonFiniteSourceError,
-    NumericalError,
-    SingularStructureError,
-)
+from edgepot.errors import EdgepotError, NumericalError
 from edgepot.geometry import PHI, Q, DiscConfig, PhysConfig, build_grid
 from edgepot.linsolve import _kronecker_parts, _scaled_modes, lu_factorize, lu_solve
 from edgepot.manufactured import SOURCES, corrected_mms
@@ -150,7 +145,7 @@ def test_assembly_and_cosine_modes_keep_their_rounding(mode, scheme, eta):
 def test_check_csr_refuses_a_repeated_column():
     a = sps.csr_matrix((np.ones(3), np.array([0, 0, 1]), np.array([0, 2, 3])), shape=(2, 2))
     assert a.has_sorted_indices  # sorted, but column 0 repeats in row 0
-    with pytest.raises(SingularStructureError, match="repeated"):
+    with pytest.raises(EdgepotError, match="repeated"):
         check_csr(a)
 
 
@@ -167,7 +162,7 @@ def test_eta_zero_matrix_well_formed():
 
 def test_naive_requires_positive_eta():
     grid, phys, disc = make(eta=0.0)
-    with pytest.raises(EtaZeroUndefinedError, match="EtaZeroUndefined"):
+    with pytest.raises(NumericalError, match="EtaZeroUndefined"):
         build_system(grid, phys, disc, "naive")
 
 
@@ -350,7 +345,7 @@ def test_rhs_rejects_non_finite_source():
     system = build_system(grid, phys, disc, "ap")
     state = init_state(grid, phys, lambda x, y: np.zeros_like(x))
     bad = Forcing(volume=lambda t, x, y: np.full_like(x, np.inf))
-    with pytest.raises(NonFiniteSourceError):
+    with pytest.raises(NumericalError, match="right-hand side not finite"):
         assemble_ap_rhs(system, state, bad)
 
 

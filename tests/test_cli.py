@@ -10,7 +10,7 @@ from edgepot.cli import (
     write_csv,
 )
 from edgepot import errors, verification
-from edgepot.errors import ConfigError, ParseError, UnknownKeyError
+from edgepot.errors import ConfigError, ParseError
 from edgepot.geometry import DiscConfig, PhysConfig, build_grid
 from edgepot.timeloop import init_state
 from edgepot.verification import CondRow, ConvergenceRow
@@ -52,7 +52,7 @@ def test_comments_and_blank_lines(tmp_path):
 def test_unknown_key_rejected(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("etaa = 1\n")
-    with pytest.raises(UnknownKeyError, match="line 1"):
+    with pytest.raises(ParseError, match="line 1: unknown key 'etaa'"):
         parse_config(str(cfg))
 
 
@@ -216,16 +216,46 @@ def test_main_unstable_full_run_stops_at_the_sheath_headroom(capsys):
 
 
 def test_numerical_errors_are_the_exit_2_failures():
-    numerical = {
-        name for name, cls in vars(errors).items()
-        if isinstance(cls, type) and issubclass(cls, errors.NumericalError)
-        and cls is not errors.NumericalError
+    classes = {name: cls.__bases__ for name, cls in vars(errors).items() if isinstance(cls, type)}
+    assert classes == {
+        "EdgepotError": (Exception,),  # exit 1 with an "error:" line
+        "ConfigError": (errors.EdgepotError, ValueError),  # exit 1
+        "ParseError": (errors.EdgepotError, ValueError),  # exit 1
+        "NumericalError": (errors.EdgepotError,),  # exit 2
+        "SingularPivotError": (errors.NumericalError, RuntimeError),  # exit 2
     }
-    assert numerical == {
-        "SingularPivotError", "NonFiniteSourceError", "NonFiniteInitialError",
-        "EtaZeroUndefinedError",
-    }
-    assert not issubclass(errors.LogDomainError, errors.NumericalError)  # exits 1
+
+
+def test_main_log_domain_failure_is_one_error_line(capsys):
+    assert main(["validate", "--L", "0.05", "--dx", "0.05", "--dy", "0.05"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: log argument non-positive at t = 0.7")
+
+
+@pytest.mark.parametrize(
+    "args,key",
+    [
+        (["run", "--T", "inf", "--dx", "0.1", "--dy", "0.1"], "T"),
+        (["run", "--dt", "inf"], "dt"),
+        (["run", "--mode", "full", "--l", "0.5", "--dx", "inf", "--dy", "0.1"], "dx"),
+        (["run", "--eta", "inf"], "eta"),
+        (["run", "--nu", "inf"], "nu"),
+        (["run", "--lambda", "inf"], "lambda"),
+        (["run", "--lambda", "nan"], "lambda"),
+        (["condition-study", "--etas", "inf"], "etas"),
+        (["mms-convergence", "--grids", "0.1,inf"], "mesh steps"),
+        (["eta-sweep", "--etas", "1e-2,nan"], "etas"),
+    ],
+    ids=lambda a: " ".join(a) if isinstance(a, list) else a,
+)
+def test_main_refuses_a_non_finite_value(tmp_path, capsys, args, key):
+    outdir = tmp_path / "out"
+    assert main(args + ["--outdir", str(outdir)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("configuration error: ")
+    assert f"{key} must be finite" in err[0] or f"needs finite {key}" in err[0]
+    assert not outdir.exists()
 
 
 @pytest.mark.parametrize(
@@ -315,6 +345,16 @@ def test_main_run_reports_the_error_against_an_exact_solution(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[-1].startswith("error vs exact: l2=")
     assert 0 < float(lines[-1].split("=")[1]) < 1e-4
+
+
+def test_main_run_in_full_geometry_reports_no_error_vs_exact(capsys):
+    # the manufactured solutions are exact on the strip only: in full geometry
+    # cos(k x) kinks at the periodic seam and d_y phi is not 0 on the limiter top
+    code = main(["run", "--mode", "full", "--l", "0.5", "--source", "eq3_mms",
+                 "--dx", "0.05", "--dy", "0.05", "--T", "0.05"])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("steps=50 ") and "error vs exact" not in out
 
 
 def test_main_run_literal_source_is_config_error(capsys):

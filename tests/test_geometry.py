@@ -1,8 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from edgepot.assembly import build_system, check_csr
-from edgepot.errors import ConfigError, OutOfDomainError
+from edgepot.errors import ConfigError, EdgepotError
 from edgepot.geometry import (
     Q,
     DiscConfig,
@@ -50,6 +52,19 @@ def test_validate_rejects_nonpositive_steps_and_bad_phys():
     violations = config_violations(phys, disc)
     assert any("eta" in v for v in violations)
     assert any(v.startswith("NonPositiveStep") for v in violations)
+
+
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+@pytest.mark.parametrize(
+    "key,owner,field",
+    [("eta", 0, "eta"), ("nu", 0, "nu"), ("lambda", 0, "lambda_ref"), ("L", 0, "L"),
+     ("l", 0, "limiter_height"), ("T", 0, "t_end"), ("dx", 1, "dx"), ("dy", 1, "dy"),
+     ("dt", 1, "dt")],
+)
+def test_validate_rejects_a_non_finite_value(key, owner, field, value):
+    configs = list(strip_configs())
+    configs[owner] = replace(configs[owner], **{field: value})
+    assert f"NonFinite: {key} must be finite, got {value}" in config_violations(*configs)
 
 
 def test_validate_rejects_too_coarse_y():
@@ -217,9 +232,9 @@ def test_ghost_columns_and_out_of_domain_lookups():
         k = grid.ordinal(ghost, 0)
         assert tuple(grid.phi_nodes[k]) == (ghost, 0)
         assert k not in grid.plasma_ordinals
-    with pytest.raises(OutOfDomainError):
+    with pytest.raises(EdgepotError, match=rf"\(i={grid.I1 - 2}, j=0\) is not a stored node"):
         grid.ordinal(grid.I1 - 2, 0)  # deep inside the limiter
-    with pytest.raises(OutOfDomainError):
+    with pytest.raises(EdgepotError, match=r"\(i=0, j=-1\) is not a stored node"):
         grid.ordinal(0, -1)
 
 

@@ -10,7 +10,7 @@ import scipy.sparse.linalg as spla
 
 from edgepot import linsolve
 from edgepot.assembly import build_system
-from edgepot.errors import DimensionMismatchError, SingularPivotError
+from edgepot.errors import EdgepotError, SingularPivotError
 from edgepot.geometry import Q, ColumnBlocks, DiscConfig, PhysConfig, build_grid
 from edgepot.linsolve import (
     POWER_SEED,
@@ -155,7 +155,7 @@ def test_near_singular_pivot_raises():
 
 def test_dimension_mismatch():
     f = lu_factorize(csr(np.eye(3)))
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(EdgepotError, match=r"rhs has shape \(4,\), expected \(3,\)"):
         lu_solve(f, np.ones(4))
 
 

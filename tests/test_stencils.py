@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sps
 
-from edgepot.errors import MissingNeighborError
+from edgepot.errors import EdgepotError
 from edgepot.geometry import PHI, Q, DiscConfig, PhysConfig, build_grid
 from edgepot.stencils import DX, DXX, table_csr, x_table, y_table
 
@@ -61,7 +61,7 @@ def test_dx_central_annihilates_x_constants():
 
 def test_dx_missing_neighbor_on_ghost():
     grid = strip_grid()
-    with pytest.raises(MissingNeighborError):
+    with pytest.raises(EdgepotError, match="not a stored node"):
         x_table(grid, grid.I1 - 1, 0)
 
 

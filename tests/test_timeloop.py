@@ -5,7 +5,7 @@ import pytest
 
 import edgepot.timeloop
 from edgepot.assembly import ZERO_FORCING, build_system
-from edgepot.errors import NonFiniteInitialError
+from edgepot.errors import NumericalError
 from edgepot.geometry import DiscConfig, PhysConfig, build_grid
 from edgepot.linsolve import lu_factorize
 from edgepot.manufactured import corrected_mms
@@ -56,7 +56,7 @@ def test_init_flags_x_dependent_data():
 
 def test_init_rejects_non_finite():
     grid, phys, _ = make()
-    with pytest.raises(NonFiniteInitialError):
+    with pytest.raises(NumericalError, match="phi_ini not finite"):
         init_state(grid, phys, lambda x, y: np.full_like(x, np.inf))
 
 
@@ -82,6 +82,26 @@ def test_reference_potential_is_fixed_point():
     nxt = step(state, factors, system, ZERO_FORCING)
     assert np.abs(nxt.phi - 5.0).max() <= 1e-9
     assert np.abs(nxt.q).max() <= 1e-9
+
+
+# eta <= 1e-4 is left out: there the full-geometry step map has spectral
+# radius above 1, so the fixed point is not stable (ROADMAP correctness item 1)
+@pytest.mark.parametrize(
+    "scheme,eta", [("ap", 1e-2), ("ap", 1e-3), ("naive", 1e-2)]
+)
+@pytest.mark.parametrize("dt", [1e-3, 1e-2])
+@pytest.mark.parametrize("h", [0.05, 0.025])
+def test_reference_potential_is_fixed_point_in_full_geometry(h, dt, scheme, eta):
+    phys = PhysConfig(eta=eta, nu=1.0, lambda_ref=1.0, L=0.4, limiter_height=0.5)
+    disc = DiscConfig(dx=h, dy=h, dt=dt, mode="full")
+    grid = build_grid(phys, disc)
+    system = build_system(grid, phys, disc, scheme)
+    factors = lu_factorize(system.matrix)
+    state = init_state(grid, phys, lambda x, y: np.full_like(x, 1.0), scheme=scheme)
+    for _ in range(100):
+        state = step(state, factors, system, ZERO_FORCING)
+        assert np.abs(state.phi - 1.0).max() <= 1e-9
+        assert state.q is None or np.abs(state.q).max() <= 1e-9
 
 
 @pytest.mark.filterwarnings("ignore:initial data varies")
