@@ -261,12 +261,14 @@ class Grid:
         Node ordinal k holds unknowns ``fields * k + field``, the rule of
         `slot` (fields = 2 for the coupled layout, 1 for the single-field
         one).  On the strip one block holds every node.  In full geometry
-        the interface is the columns I1 - 1, I1 and I2 + 1 on every row; the
-        blocks are the gap columns I1 + 1 .. I2 on every row and the band
-        columns I2 + 2 .. I1 - 2, wrapping through the seam, on the rows
-        j_l .. Ny - 1.  When I1 = 1 the band block is empty, and on the band
-        rows I2 + 1 is the seam twin of I1 - 1.  No x- or y-stencil couples
-        the two blocks.
+        the interface is the columns I1 and I2 + 1 on every row and the west
+        ghost column I1 - 1 on the face rows 0 .. j_l - 1; the blocks are the
+        gap columns I1 + 1 .. I2 on every row and the band columns
+        I2 + 2 .. I1 - 1, wrapping through the seam, on the rows
+        j_l .. Ny - 1 (above the limiter I1 - 1 is a band node, which column
+        I1 separates from the gap).  When I1 = 1 the band block is empty,
+        and on the band rows I2 + 1 is the seam twin of I1 - 1.  No x- or
+        y-stencil couples the two blocks.
         """
         if self.mode == "strip":
             blocks = [np.arange(len(self.phi_nodes)).reshape(self.Ny, -1)]
@@ -274,9 +276,10 @@ class Grid:
         else:
             rows = np.arange(self.Ny)[:, None]
             gap = self.ordinal(np.arange(self.I1 + 1, self.I2 + 1)[None, :], rows)
-            chain = np.arange(self.I2 + 2, self.n_band_cols + self.I1 - 1) % self.n_band_cols
-            edges = np.array([[self.I1 - 1, self.I1, self.I2 + 1]])
-            interface = np.unique(self.ordinal(edges, rows))
+            chain = np.arange(self.I2 + 2, self.n_band_cols + self.I1) % self.n_band_cols
+            edges = self.ordinal(np.array([[self.I1, self.I2 + 1]]), rows)
+            ghosts = self.ordinal(self.I1 - 1, rows[: self.j_l, 0])
+            interface = np.unique(np.r_[edges.ravel(), ghosts])
             blocks = [gap, self.ordinal(chain[None, :], rows[self.j_l :])] if chain.size else [gap]
 
         def unknowns(ordinals):

@@ -41,16 +41,20 @@ permutations of A.
     compressed-column form.
   - A strip grid is one block, every unknown, and no interface.
   - A full grid is two blocks, the gap columns I1 + 1 .. I2 on every row
-    and the band columns I2 + 2 .. I1 - 2 (periodic) above the limiter,
-    plus an interface, the columns I1 - 1, I1 and I2 + 1 on every row
-    (`Grid.column_blocks`).  The interface is eliminated through the dense
-    Schur complement S = A_II - sum_b A_Ib A_bb^-1 A_bI (the capacitance
-    matrix method of Buzbee, Dorr, George & Golub, SIAM J. Numer. Anal.
-    1971, and Proskurowski & Widlund, Math. Comp. 1976).  S is built per
-    cosine mode from block solves whose right-hand sides are unit vectors
-    at the few positions next to the interface, then row-scaled and
-    factored by LAPACK (see the memory paragraph below).  A solve is one
-    cosine-mode solve per block, one dense interface solve and a
+    and the band columns I2 + 2 .. I1 - 1 (periodic) above the limiter,
+    plus an interface, the columns I1 and I2 + 1 on every row and the
+    column I1 - 1 on the face rows below the limiter, where it is the west
+    ghost (`Grid.column_blocks`).  Above the limiter I1 - 1 is an ordinary
+    band node, and column I1 already separates it from the gap, so it
+    belongs to the band block there.  The interface is eliminated through
+    the dense Schur complement S = A_II - sum_b A_Ib A_bb^-1 A_bI (the
+    capacitance matrix method of Buzbee, Dorr, George & Golub, SIAM J.
+    Numer. Anal. 1971, and Proskurowski & Widlund, Math. Comp. 1976).  S
+    is built per cosine mode from block solves whose right-hand sides are
+    unit vectors at the few positions next to the interface, each read
+    position's kernel C diag_p(w) C formed by one DCT-I, then row-scaled
+    and factored by LAPACK (see the memory paragraph below).  A solve is
+    one cosine-mode solve per block, one dense interface solve and a
     correction of the mode coefficients.
     The anchor column I1 must be in the interface: without it the gap
     block's cosine mode 0 carries no phi in its evolution rows and is
@@ -107,8 +111,14 @@ at h = 0.0125 the fill is within 0.5% of COLAMD's.
 The column-block factorization holds little beyond its factors while it
 runs.  S is built one read position at a time: for position r of a block,
 the rows of A_bb^-1 at r and the columns at the written positions form an
-Ny x (Ny W) array (W written positions), and only the interface rows that
-read r take it, so no n_I x (Ny W) product or 4-D intermediate exists.  S
+Ny x (Ny W) array (W written positions), the DCT-I of the cosine rows
+scaled by the mode columns, and only the interface rows that read r take
+it, so no n_I x (Ny W) product or 4-D intermediate exists.  (One GEMM with
+the dense cosine matrix is faster alone, but whole factorizations with the
+DCT-I were faster in 25 of 30 interleaved pairs at N = 46,880, median
+ratio 0.78, on a 2-vCPU VM with 2 BLAS threads.)  The layout check labels
+the unknowns with int8 and reads them through A's own index arrays, with
+no COO copy of A.  S
 is row-scaled in place; LAPACK factors a Fortran-order copy of it (S is
 kept in C order, where the row updates of its build are contiguous).  The
 mode matrices go to SuperLU with one-column panels and no relaxed
@@ -117,9 +127,9 @@ about ten entries wide, so there is little for wide panels or relaxed
 supernodes to gather: with SuperLU's defaults a factorization at
 N = 42,182 raised the resident size by 15 MB more at its peak and took
 93 ms instead of 84 ms.  On the full grids the traced peak of
-`lu_factorize` beyond what it returns is about 1.4 times the 8 n_I^2
-bytes of S, against 3.2 times for a Schur complement formed through an
-n_I x (Ny W) product.
+`lu_factorize` beyond what it returns is about 1.8 times the 8 n_I^2
+bytes of S (n_I = 204 and 804 at h = 0.025 and 0.00625), against 3.2
+times for a Schur complement formed through an n_I x (Ny W) product.
 """
 
 from __future__ import annotations
@@ -425,9 +435,10 @@ def _schur_complement(a_ii: sps.csr_matrix, blocks) -> np.ndarray:
     A_bb^-1 = (C (x) I) B^-1 (C (x) I) / (2 (ny - 1)), so its entry between
     position r of row j and written position s of row j' is sum_p C[j, p]
     w[p, r, s] C[p, j'], w the block's `_Coupling` columns for A.  For each
-    read position r this is the ny x (ny W) array C diag_p(w[p, r]) C, one
-    GEMM; only the interface rows that read r take it, and only through the
-    written positions.
+    read position r this is the ny x (ny W) array C diag_p(w[p, r]) C: the
+    rows p of C scaled by w[p, r, s], then a DCT-I along p; only the
+    interface rows that read r take it, and only through the written
+    positions.
     """
     s = a_ii.toarray()
     for block in blocks:
@@ -438,7 +449,7 @@ def _schur_complement(a_ii: sps.csr_matrix, blocks) -> np.ndarray:
         for k, r in enumerate(link.read):
             a_ir = link.a_ib[:, k::n_read]  # interface x grid row, at position r
             rows = np.flatnonzero(np.diff(a_ir.indptr))
-            inv = cos @ (cos[:, :, None] * link.w[:, r, None, :]).reshape(ny, -1)
+            inv = _dct1(cos[:, :, None] * link.w[:, r, None, :]).reshape(ny, -1)
             s[rows] -= link.a_bi.T.dot((a_ir[rows] @ inv).T).T
     return s
 
@@ -464,21 +475,19 @@ def _factorize_interface(index: np.ndarray, s: np.ndarray) -> _Interface:
 def _check_separated(a: sps.csr_matrix, layout: ColumnBlocks) -> None:
     """_OffLayout unless blocks and interface partition the unknowns, none joined by an entry."""
     n = a.shape[0]
-    label = np.full(n, -2)
+    label = np.full(n, -2, dtype=np.int8)
     for k, b in enumerate(layout.blocks):
         label[b.ravel()] = k
     label[layout.interface] = -1
     sizes = sum(b.size for b in layout.blocks) + layout.interface.size
     if sizes != n or (label == -2).any():
         raise _OffLayout("the blocks and the interface do not partition the unknowns")
-    coo = a.tocoo()
-    rl, cl = label[coo.row], label[coo.col]
+    rl, cl = np.repeat(label, np.diff(a.indptr)), label[a.indices]  # of each stored entry
     joins = np.flatnonzero((rl != cl) & (rl >= 0) & (cl >= 0))
     if joins.size:
         k = joins[0]
-        raise _OffLayout(
-            f"entry ({coo.row[k]}, {coo.col[k]}) joins block {rl[k]} to block {cl[k]}"
-        )
+        row = np.searchsorted(a.indptr, k, side="right") - 1
+        raise _OffLayout(f"entry ({row}, {a.indices[k]}) joins block {rl[k]} to block {cl[k]}")
 
 
 def _factorize_blocks(a: sps.csr_matrix, a_max: float, layout: ColumnBlocks) -> LUFactors:

@@ -120,12 +120,11 @@ def mms_source(t, x, y, eta: float, nu: float, *, L: float = 0.4):
 def mms_phi_literal(t, x, y, eta: float, lambda_ref: float):
     """Historical variant: cos(pi y) divides the log argument.
 
-    Undefined where cos(pi y) = 0 and where the argument is non-positive;
+    Undefined where cos(pi y) = 0 and where the argument is non-positive
+    (at y = 0.5 cos(pi y) rounds to 6e-17, so the argument is negative);
     kept only to document that it fails the sheath boundary conditions.
     """
     w = np.cos(np.pi * y)
-    if np.any(w == 0):
-        raise EdgepotError("cos(pi y) = 0: literal variant undefined at y = 0.5")
     arg = _positive(1.0 - 1.25 * t * t / (np.pi * w), t, y)
     return eta * (t / np.pi) ** 2 * w * np.cos(_KX * x) - np.log(arg) + lambda_ref
 

@@ -238,6 +238,51 @@ def test_ghost_columns_and_out_of_domain_lookups():
         grid.ordinal(0, -1)
 
 
+# ---- column blocks and interface ---------------------------------------
+
+
+def layout_nodes(grid, unknowns, fields):
+    """(i, j) of the nodes holding ``unknowns``, which must be whole nodes of ``fields`` unknowns."""
+    per_node = np.asarray(unknowns).reshape(-1, fields)
+    ordinals = per_node[:, 0] // fields
+    assert np.array_equal(per_node, fields * ordinals[:, None] + np.arange(fields))
+    return grid.phi_nodes[ordinals]
+
+
+@pytest.mark.parametrize("fields", [1, 2])
+def test_full_column_blocks_layout(fields):
+    phys = PhysConfig(eta=1e-3, L=0.4, limiter_height=0.5)
+    grid = build_grid(phys, DiscConfig(dx=0.00625, dy=0.00625, dt=1e-3, mode="full"))
+    layout = grid.column_blocks(fields)
+    face = np.arange(grid.Ny) < grid.j_l
+    # the interface: columns I1 and I2 + 1 on every row, and the ghost column I1 - 1 on the face rows
+    assert len(layout.interface) == 402 * fields
+    i, j = layout_nodes(grid, layout.interface, fields).T
+    want = {(c, r) for r in range(grid.Ny) for c in (grid.I1, grid.I2 + 1)}
+    want |= {(grid.I1 - 1, r) for r in np.flatnonzero(face)}
+    assert set(zip(i.tolist(), j.tolist())) == want and len(i) == len(want)
+    # the gap block: columns I1 + 1 .. I2 on every row; the band block: columns
+    # I2 + 2 .. I1 - 1 through the seam, on rows j_l .. Ny - 1
+    gap, band = layout.blocks
+    columns = (np.arange(grid.I1 + 1, grid.I2 + 1),
+               np.arange(grid.I2 + 2, grid.n_band_cols + grid.I1) % grid.n_band_cols)
+    for block, cols, rows in zip((gap, band), columns, (np.arange(grid.Ny), np.flatnonzero(~face))):
+        i, j = layout_nodes(grid, block, fields).T
+        assert np.array_equal(i.reshape(len(rows), -1), np.broadcast_to(cols, (len(rows), len(cols))))
+        assert np.array_equal(j.reshape(len(rows), -1)[:, 0], rows)
+    assert band.shape[1] == (2 * grid.I1 - 2) * fields
+
+
+@pytest.mark.parametrize("fields", [1, 2])
+def test_full_column_blocks_without_a_band_block(fields):
+    # L = 0.45, dx = 0.05: I1 = 1, and on the band rows I2 + 1 is the seam twin of I1 - 1
+    phys = PhysConfig(eta=1e-3, L=0.45, limiter_height=0.5)
+    grid = build_grid(phys, DiscConfig(dx=0.05, dy=0.05, dt=1e-3, mode="full"))
+    layout = grid.column_blocks(fields)
+    assert grid.I1 == 1 and len(layout.blocks) == 1
+    assert len(layout.interface) == 52 * fields
+
+
 # ---- quadrature weights ------------------------------------------------
 
 

@@ -385,8 +385,9 @@ def interface_reads(a, block):
 def test_full_path_factors_are_the_stacked_pieces(l, eta, scheme, L):
     # the interface piece factors the row-scaled Schur complement, formed here densely
     a = full_system(0.05, l, eta, scheme, L=L).matrix
-    # S is built one read position at a time: rows that read none and rows that read several
-    reads = interface_reads(a, a.column_blocks.blocks[0])
+    # S is built one read position at a time: over the blocks, some interface row reads
+    # no position of a block and some reads several
+    reads = np.concatenate([interface_reads(a, b) for b in a.column_blocks.blocks])
     assert (reads == 0).any() and (reads > 1).any()
     f = lu_factorize(a)
     assert len(f.pieces) == len(a.column_blocks.blocks)
@@ -418,6 +419,24 @@ def test_full_path_factors_small_eta_coupled_systems(eta, trans):
     b = np.random.default_rng(41).standard_normal(a.shape[0])
     x = lu_solve(f, b, trans=trans)
     assert backward_error(a if trans == "N" else a.T, x, b) <= 1e-12
+
+
+@pytest.mark.parametrize("eta", [1e-10, 1e-12, 1e-14])
+@pytest.mark.parametrize("l", [0.5, 0.8])
+@pytest.mark.parametrize("h", [0.05, 0.025])
+def test_full_path_accepted_single_field_factors_are_accurate(h, l, eta):
+    # at eta = 1e-14 the row-scaled interface pivots sit near the 1e-14 threshold, so rounding
+    # decides whether a system is refused; one that is accepted must still solve to roundoff
+    a = full_system(h, l, eta, "naive").matrix
+    try:
+        f = lu_factorize(a)
+    except SingularPivotError:
+        assert eta == 1e-14
+        return
+    assert f.interface is not None
+    b = np.random.default_rng(43).standard_normal(a.shape[0])
+    for trans, m in (("N", a), ("T", a.T)):
+        assert backward_error(m, lu_solve(f, b, trans=trans), b) <= 1e-12
 
 
 def test_full_path_falls_back_to_superlu_off_the_kronecker_form(caplog):
