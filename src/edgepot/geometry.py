@@ -9,8 +9,9 @@ The domain is the rectangle [-0.5, 0.5] x [0, 1] minus the limiter solid
   columns x = -0.5 and x = +0.5 are identified (periodic) for y >= l.
 
 One ghost column per field is stored outside each limiter face for every
-row that carries the face boundary conditions.  Ghosts in the y direction
-are never stored; they are eliminated analytically in the stencil module.
+row that carries the face boundary conditions.  No ghost is stored in the
+y direction: the cell mask (`Grid.cell_counts`) closes the y-stencils and
+gives the quadrature weights.
 """
 
 from __future__ import annotations
@@ -154,6 +155,11 @@ class Grid:
     Column indices are physical: in strip mode i runs 0..Nx-1 with ghosts at
     -1 and Nx; in full mode i runs over 0..ncols-1 with x = -0.5 + i*dx and
     the seam column x = +0.5 folded onto i = 0.
+
+    ``cell_counts`` is the cell mask, aligned with the phi enumeration: the
+    number of plasma cells below and above each node.  `stencils.y_table`
+    reads it, and ``quad_weights``, the trapezoidal quadrature weights, are
+    its sum over 4 (ghosts zero).
     """
 
     def __init__(self, phys: PhysConfig, disc: DiscConfig):
@@ -222,7 +228,8 @@ class Grid:
         self.N = 2 * len(jj)
         self._x_arr = self.x(self.phi_nodes[:, 0])
         self._y_arr = self.y(self.phi_nodes[:, 1])
-        self._quad_weights = self._compute_quad_weights(plasma[:, 1:])
+        self.cell_counts = self._count_cells(plasma[:, 1:])
+        self.quad_weights = self.cell_counts.sum(axis=0) / 4.0
 
     def ordinal(self, i, j):
         """Position of node (i, j) in the phi enumeration (ghosts included); on band rows
@@ -301,33 +308,27 @@ class Grid:
         starts = np.flatnonzero(np.r_[True, j[1:] != j[:-1]])
         return float(np.max(np.maximum.reduceat(v, starts) - np.minimum.reduceat(v, starts)))
 
-    # ---- quadrature --------------------------------------------------
+    # ---- cell mask ---------------------------------------------------
 
-    def _compute_quad_weights(self, plasma: np.ndarray) -> np.ndarray:
-        """Trapezoidal node weights: (plasma cells adjacent to the node) / 4.
+    def _count_cells(self, plasma: np.ndarray) -> np.ndarray:
+        """(2, n) int8: the plasma cells below and above each stored node, 0 .. 2 each.
 
         ``plasma`` marks the plasma nodes by row and column i >= 0.  A cell
         exists where its four corners are plasma.  In full mode the columns
         are cut to 0 .. ncols - 1, so the roll in x supplies the cells across
         the seam on band rows; in strip mode the east ghost column, never
-        plasma, keeps the roll from wrapping.  Ghost nodes get weight zero.
+        plasma, keeps the roll from wrapping.  Ghost nodes touch no cell.
         """
         if self.mode == "full":
             plasma = plasma[:, : self.n_band_cols]
         corners = plasma[:-1] & plasma[1:]
-        cells = corners & np.roll(corners, -1, axis=1)
-        cells = np.pad(cells, ((1, 1), (0, 0))).astype(int)
-        count = cells[:-1] + cells[1:]
-        count += np.roll(count, 1, axis=1)
+        cells = corners & np.roll(corners, -1, axis=1)  # [j, i]: rows j .. j + 1, columns i .. i + 1
+        beside = cells.astype(np.int8) + np.roll(cells, 1, axis=1)  # row j's cells at column i
+        beside = np.pad(beside, ((1, 1), (0, 0)))  # node row j has row j - 1 below, row j above
         i, j = self.phi_nodes[self._plasma_ordinals].T
-        w = np.zeros(len(self.phi_nodes))
-        w[self._plasma_ordinals] = count[j, i] / 4.0
-        return w
-
-    @property
-    def quad_weights(self) -> np.ndarray:
-        """Quadrature weights aligned with the phi enumeration (ghosts zero)."""
-        return self._quad_weights
+        counts = np.zeros((2, len(self.phi_nodes)), dtype=np.int8)
+        counts[:, self._plasma_ordinals] = beside[j + np.arange(2)[:, None], i]
+        return counts
 
 
 def build_grid(phys: PhysConfig, disc: DiscConfig) -> Grid:

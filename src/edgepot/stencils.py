@@ -1,26 +1,24 @@
-"""Finite-difference stencil tables with analytic elimination of y-direction ghosts.
+"""Finite-difference stencil tables; the y-differences are the finite-volume rule of the cell mask.
 
 All operators are centred and second-order.  `x_table` and `y_table` give
 the nodes each row of node arrays ``(i, j)`` reads; `assembly` scales their
 weights and writes its rows from them through `table_csr`.
 
-On the field-line boundaries (y = 0, y = 1, and y = l above the limiter)
-the conditions d_y phi = 0 and d_y^3 phi = 0 close the stencils: the
-first, centred, gives the mirror phi[-1] = phi[1]; combining it with the
-centred four-point third difference
-(phi[2] - 2 phi[1] + 2 phi[-1] - phi[-2]) / (2 dy^3) = 0 gives
-phi[-2] = phi[2].  So a column with rows jb .. jt is closed by reflecting
-every target row of the interior stencils (1, -2, 1) and (1, -4, 6, -4, 1)
-into it, j -> 2 jb - j below and j -> 2 jt - j above.  The folded wall
-rows follow:
+A node with b plasma cells below it and a above it (`Grid.cell_counts`)
+has area (b + a) / 4 and y-faces b / 2 and a / 2 cells wide, so the flux
+difference over the area is d2 = 2 (b, -(b + a), a) / (b + a) / dy^2 at
+y-offsets -1 .. 1: (1, -2, 1) inside and (-2, 2) at a wall, the closure
+d_y phi = 0.  The fourth difference d4 = d2 o d2 along the column gives
+(6, -8, 2) and (-4, 7, -4, 1) at and next to a wall, the closure
+d_y^3 phi = 0.  In full geometry one override keeps d2 = (1, -2, 1) at the
+limiter corners (I1, j_l) and (I2, j_l), where the half-wide face below
+gives (2/3, -2, 4/3); the composition carries it into d4 on rows
+j_l - 1 .. j_l + 1 of their columns.
 
-    d''   at the wall: (-2, 2) / dy^2
-    d'''' at the wall: (6, -8, 2) / dy^4,  one row in: (-4, 7, -4, 1) / dy^4
-
-and their mirror images at the top.  A column has at least five rows, so
-`y_table` folds every reflected target into one of five slots, y-offsets
--2 .. 2; a slot outside the column keeps weight 0.  The integer weights
-are summed before the scaling by 1/dy^2 or 1/dy^4.
+The x-difference keeps `DXX` on the stored ghost columns: the ghost-point
+face closure is the mask's half cell only once the flux-match and sheath
+rows eliminate the ghosts, so an x stencil from the mask would change the
+matrices.
 """
 
 from __future__ import annotations
@@ -34,25 +32,11 @@ DX = np.array([-1.0, 0.0, 1.0])  # first x-difference on the x table, times 1 / 
 DXX = np.array([1.0, -2.0, 1.0])  # second x-difference on the x table, times 1 / dx^2
 
 
-def _folded(weights) -> np.ndarray:
-    """[a, b, 2 + d]: the weight at y-offset d once ``weights`` (offsets -2 .. 2) are reflected
-    into a column whose bottom and top rows are a and b rows from the node (2: two or more)."""
-    out = np.zeros((3, 3, 5))
-    for a, b, slot in np.ndindex(3, 3, 5):
-        d = slot - 2
-        out[a, b, 2 + (-2 * a - d if d < -a else 2 * b - d if d > b else d)] += weights[slot]
-    return out
-
-
-_DYY = _folded((0.0, 1.0, -2.0, 1.0, 0.0))
-_DYYYY = _folded((1.0, -4.0, 6.0, -4.0, 1.0))
-
-
 def mirror_dyy(ny: int) -> sps.csr_matrix:
     """Unscaled second y-difference on a column of ny rows, mirror-closed.
 
-    Rows (1, -2, 1) inside and (-2, 2) at the walls; its square carries the
-    folded fourth-difference rows (6, -8, 2) and (-4, 7, -4, 1).
+    The mask's d2 on a strip column: rows (1, -2, 1) inside and (-2, 2) at
+    the walls; its square carries the wall rows (6, -8, 2) and (-4, 7, -4, 1).
     """
     upper, lower = np.ones(ny - 1), np.ones(ny - 1)
     upper[0] = lower[-1] = 2.0
@@ -71,12 +55,23 @@ def x_table(grid: Grid, i, j) -> np.ndarray:
 
 def y_table(grid: Grid, i, j) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(ordinals, d2, d4), each (n, 5): the nodes at y-offsets -2 .. 2, clipped to the column,
-    and the folded unscaled weights of the second and fourth y-differences there."""
+    and the unscaled weights of the second and fourth y-differences there."""
     i, j = _nodes(i, j)
     jb, jt = grid.column_extent(i)
-    near = np.minimum(j - jb, 2), np.minimum(jt - j, 2)
-    column = np.clip(j[:, None] + np.arange(-2, 3), jb[:, None], jt)
-    return grid.ordinal(i[:, None], column), _DYY[near], _DYYYY[near]
+    column = grid.ordinal(i[:, None], np.clip(j[:, None] + np.arange(-2, 3), jb[:, None], jt))
+    rows = column[:, 1:4].T  # rows j - 1 .. j + 1, node axis last
+    below, above = np.take(grid.cell_counts, rows, axis=1)
+    if grid.mode == "full":
+        # The override: the limiter corners (I1, j_l) and (I2, j_l) read the half-wide face below
+        # them as full, so their d2 keeps (1, -2, 1), not the mask's (2/3, -2, 4/3).  The
+        # finite-volume corner rows of ROADMAP item 1 delete it.
+        below = np.where(np.isin(rows, grid.ordinal([grid.I1, grid.I2], grid.j_l)), above, below)
+    near = 2 * np.stack([below, -(below + above), above]) / (below + above)  # [offset, row, node]
+    d2, d4 = np.zeros((5, len(j))), np.zeros((5, len(j)))
+    d2[1:4] = near[:, 1]
+    for m in range(3):  # row j - 1 + m's d2, times the node's own weight at offset m - 1
+        d4[m : m + 3] += near[m, 1] * near[:, m]
+    return column, d2.T, d4.T
 
 
 def table_csr(shape, kinds) -> sps.csr_matrix:

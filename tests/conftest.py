@@ -15,6 +15,17 @@ def _refined_splu_solve(a, b, trans):
     number near 1e10 there), and three refinement passes with residuals of
     the unscaled matrix take the reference to roundoff; the comparison then
     measures the path under test rather than the reference.
+
+    The level, measured against a solution refined in extended precision
+    to a normwise backward error below 1e-19 (random right-hand side, both
+    trans): on the coupled full-geometry system of h = 0.00625,
+    l = 0.5, eta = 1e-3, dt = 1e-4 the reference is 2.8e-15 from it
+    (2-norm, relative) with componentwise backward error 1e-16, and
+    `lu_solve` is 3.2e-10 from it with componentwise backward error 2e-12
+    to 6e-12; on the single-field one of h = 0.0125, l = 0.8,
+    eta = dt = 1e-2 the reference is 1.3e-13 to 1.6e-13 from it and
+    `lu_solve` 7.5e-9.  So a difference between the two at that level is
+    the fast path's.
     """
     if np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps:
         pytest.skip("no extended precision for the reference residual")

@@ -9,11 +9,12 @@ viscosity and the time step.
 """
 
 import numpy as np
+import scipy.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import SuperLU
 
-from edgepot.assembly import build_system, micro_macro_deviation
+from edgepot.assembly import SCHEMES, build_system, micro_macro_deviation
 from edgepot.geometry import DiscConfig, PhysConfig, build_grid
 from edgepot.linsolve import lu_factorize, lu_solve, ruiz_scalings
 from edgepot.manufactured import SOURCES
@@ -125,6 +126,36 @@ def test_cosine_mode_path_matches_superlu(cfg, eta, scheme, trans, refined_splu_
     factors = lu_factorize(a)
     assert not isinstance(factors.pieces[0], SuperLU)  # the strip took the cosine-mode path
     assert_fast_path_matches_superlu(a, factors, trans, refined_splu_solve)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(cfg=strip_configs, eta=st.one_of(st.just(0.0), log_uniform(1e-10, 10.0)),
+       dt=log_uniform(1e-3, 1.0))
+def test_strip_step_map_is_stable(cfg, eta, dt):
+    # the linearized step u -> M^-1 P u has spectral radius at most 1; the
+    # single-field scheme only where eta >= 1e-6, since below that its raw
+    # kappa passes 1e16 and the dense eigenvalues are rounding noise
+    grid, phys, disc = make({**cfg, "dt": dt}, eta)
+    for scheme in SCHEMES if eta >= 1e-6 else ["ap"]:
+        system = build_system(grid, phys, disc, scheme)
+        growth = scipy.linalg.eigvals(system.prev_op.toarray(), system.matrix.toarray())
+        assert np.abs(growth).max() <= 1 + 1e-9
+
+
+def equilibrated_kappa(cfg, eta, scheme):
+    grid, phys, disc = make(cfg, eta)
+    return np.linalg.cond(ruiz_scalings(build_system(grid, phys, disc, scheme).matrix)[2].toarray())
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(cfg=strip_configs)
+def test_strip_conditioning_is_bounded_in_eta_for_the_coupled_scheme_only(cfg):
+    # criterion 2's bounds on every drawn grid: the coupled spread over eta
+    # stays below 10, the single-field kappa grows at least 100-fold
+    kappa = [equilibrated_kappa(cfg, eta, "ap") for eta in (1e-1, 1e-2, 1e-4, 1e-6, 1e-8, 0.0)]
+    assert max(kappa) / min(kappa) < 10
+    growth = equilibrated_kappa(cfg, 1e-6, "naive") / equilibrated_kappa(cfg, 1e-2, "naive")
+    assert growth >= 100
 
 
 full_configs = st.fixed_dictionaries(

@@ -3,8 +3,8 @@ import pytest
 import scipy.sparse as sps
 
 from edgepot.errors import EdgepotError
-from edgepot.geometry import PHI, Q, DiscConfig, PhysConfig, build_grid
-from edgepot.stencils import DX, DXX, table_csr, x_table, y_table
+from edgepot.geometry import PHI, Q, DiscConfig, PhysConfig, build_grid, config_violations
+from edgepot.stencils import DX, DXX, mirror_dyy, table_csr, x_table, y_table
 
 
 def strip_grid(dx=0.1, dy=0.1):
@@ -259,3 +259,99 @@ def test_band_columns_reflect_at_limiter_top():
     assert jb == grid.j_l
     ordinals, _, d4 = y_row(grid, i, jb)
     assert nodes(grid, ordinals, d4) == {(i, jb): 6.0, (i, jb + 1): -8.0, (i, jb + 2): 2.0}
+
+
+# ---- the finite-volume rule of the cell mask, recomputed from coordinates --
+
+
+def _quarter_stencils(grid, x, y):
+    """(area, d2, d4) at the points (x, y), from the quarter cells alone, not `Grid`'s mask.
+
+    A quarter of a point's cell is plasma when its centre (x +- dx/4, y +- dy/4)
+    lies in the plasma region; a half y-face is open when the quarters on both
+    sides of it are plasma.  area is the plasma quarters over 4; d2 (n, 3) is
+    2 (down, -(down + up), up) / (4 area), with down and up the open half faces
+    below and above, at y-offsets -1 .. 1; d4 (n, 5) is d2 o d2 along x = const
+    at y-offsets -2 .. 2.  A point outside the plasma gets zero weights.
+    """
+
+    def plasma(px, py):
+        px = (px + 0.5) % 1.0 - 0.5  # the band rows are periodic in x; the strip never wraps
+        return (0 < py) & (py < 1) & ((np.abs(px) < grid.L) | (py > grid.limiter_height))
+
+    def d2_at(px, py):
+        side, at = px[:, None] + np.array([-0.25, 0.25]) * grid.dx, py[:, None]
+        lower, upper = plasma(side, at - grid.dy / 4), plasma(side, at + grid.dy / 4)
+        down = (lower & plasma(side, at - 3 * grid.dy / 4)).sum(1)
+        up = (upper & plasma(side, at + 3 * grid.dy / 4)).sum(1)
+        quarters = lower.sum(1) + upper.sum(1)
+        flux = 2.0 * np.column_stack([down, -(down + up), up])
+        d2 = np.divide(flux, quarters[:, None], out=np.zeros(flux.shape), where=quarters[:, None] > 0)
+        return quarters / 4.0, d2
+
+    area, d2 = d2_at(x, y)
+    d4 = np.zeros((len(x), 5))
+    for m in (-1, 0, 1):
+        d4[:, m + 1 : m + 4] += d2[:, m + 1, None] * d2_at(x, y + m * grid.dy)[1]
+    return area, d2, d4
+
+
+def _by_offset(grid, j, ordinals, weights):
+    """The (n, 5) weights of a y_table row at the true y-offsets -2 .. 2, repeated nodes summed."""
+    offset = grid.phi_nodes[ordinals, 1] - j[:, None] + 2
+    out = np.zeros(weights.shape)
+    np.add.at(out, (np.arange(len(j))[:, None], offset), weights)
+    return out
+
+
+# every valid combination: at h = 0.1, L = 0.45 is off the mesh and l = 0.8 leaves 3 band rows
+MASK_GRIDS = [("strip", 1.0, 0.4, h) for h in (0.05, 0.025, 0.0125)] + [
+    ("full", l, L, h)
+    for l in (0.5, 0.8)
+    for L in (0.4, 0.45)
+    for h in (0.1, 0.05, 0.025, 0.0125)
+    if not config_violations(
+        PhysConfig(eta=1e-3, L=L, limiter_height=l), DiscConfig(dx=h, dy=h, dt=1e-3, mode="full")
+    )
+]
+
+
+@pytest.mark.parametrize("mode, l, L, h", MASK_GRIDS)
+def test_y_table_is_the_quarter_cell_rule_outside_the_corner_override(mode, l, L, h):
+    grid = build_grid(
+        PhysConfig(eta=1e-3, L=L, limiter_height=l), DiscConfig(dx=h, dy=h, dt=1e-3, mode=mode)
+    )
+    k = grid.plasma_ordinals
+    i, j = grid.phi_nodes[k].T
+    x, y = grid.node_coords()
+    area, d2, d4 = _quarter_stencils(grid, x[k], y[k])
+    assert np.array_equal(grid.quad_weights[k], area)
+    assert not np.delete(grid.quad_weights, k).any()  # ghosts
+
+    ordinals, table_d2, table_d4 = y_table(grid, i, j)
+    table_d2, table_d4 = (_by_offset(grid, j, ordinals, w) for w in (table_d2, table_d4))
+    d2_off = ~(table_d2 == np.pad(d2, ((0, 0), (1, 1)))).all(1)
+    d4_off = ~(table_d4 == d4).all(1)
+    if mode == "strip":
+        corners, rows = [], []
+    else:
+        corners = [(c, grid.j_l) for c in (grid.I1, grid.I2)]
+        rows = [(c, jj) for c in (grid.I1, grid.I2) for jj in range(grid.j_l - 1, grid.j_l + 2)]
+    assert sorted(map(tuple, grid.phi_nodes[k[d2_off]])) == corners
+    assert sorted(map(tuple, grid.phi_nodes[k[d4_off]])) == rows
+    for node in corners:  # the override: the mask's corner d2 against the table's (1, -2, 1)
+        at = np.flatnonzero((i == node[0]) & (j == node[1]))[0]
+        assert d2[at] == pytest.approx([2 / 3, -2.0, 4 / 3], rel=1e-15)
+        assert np.array_equal(table_d2[at], [0.0, 1.0, -2.0, 1.0, 0.0])
+
+
+@pytest.mark.parametrize("h", [0.05, 0.025])
+def test_mirror_dyy_is_the_quarter_cell_rule_on_a_strip_column(h):
+    grid = strip_grid(dx=h, dy=h)
+    jj = np.arange(grid.Ny)
+    for i in (grid.I1, grid.Nx // 2, grid.I2):
+        _, d2, _ = _quarter_stencils(grid, np.full(grid.Ny, grid.x(i)), grid.y(jj))
+        dense = np.zeros((grid.Ny, grid.Ny + 2))  # columns j - 1 .. j + 1, padded at the walls
+        for m in range(3):
+            dense[jj, jj + m] = d2[:, m]
+        assert np.array_equal(mirror_dyy(grid.Ny).toarray(), dense[:, 1:-1])
